@@ -314,7 +314,7 @@ void TcpConnection::EnterEstablished() {
   NEWTOS_LOG(kDebug, sim_->Now(), "tcp", "established " << Ipv4ToString(key_.src_ip) << ":"
                                                         << key_.src_port);
   if (cb_.on_established) {
-    cb_.on_established();
+    cb_.on_established(this);
   }
   TrySend();
 }
@@ -490,7 +490,7 @@ void TcpConnection::ProcessAck(const Packet& p) {
         }
       }
       if (send_queue_bytes_ == 0 && cb_.on_drained) {
-        cb_.on_drained();
+        cb_.on_drained(this);
       }
     } else {
       ArmRto();
@@ -591,7 +591,7 @@ void TcpConnection::DeliverInOrder(const Packet& p) {
         }
         ++segs_since_ack_;
         if (cb_.on_data) {
-          cb_.on_data(static_cast<uint32_t>(delivered));
+          cb_.on_data(this, static_cast<uint32_t>(delivered));
         }
         SendAck(!ooo_.empty() || !params_.delayed_ack || segs_since_ack_ >= 2);
       }
@@ -787,8 +787,11 @@ void TcpConnection::ToClosed() {
   wheel_->Cancel(&delack_node_);
   wheel_->Cancel(&persist_node_);
   wheel_->Cancel(&time_wait_node_);
+  if (cb_.owner_closed != nullptr) {
+    cb_.owner_closed(cb_.owner_arg, this);
+  }
   if (cb_.on_closed) {
-    cb_.on_closed();
+    cb_.on_closed(this);
   }
 }
 

@@ -91,14 +91,23 @@ struct TcpStats {
 // listening sockets live in TcpHost (src/net/tcp_host.h).
 class TcpConnection {
  public:
-  struct Callbacks {
+  // Optional application notifications. Each gets the connection it is
+  // about, so an owner can pass one set of hooks to many connections.
+  struct AppHooks {
+    std::function<void(TcpConnection*)> on_established;
+    std::function<void(TcpConnection*, uint32_t bytes)> on_data;  // in-order payload delivered
+    std::function<void(TcpConnection*)> on_drained;  // all submitted bytes acked
+    std::function<void(TcpConnection*)> on_closed;   // reached kClosed
+  };
+
+  struct Callbacks : AppHooks {
     // Required: hands a ready segment to the layer below (IP).
     std::function<void(PacketPtr)> output;
-    // Optional application notifications.
-    std::function<void()> on_established;
-    std::function<void(uint32_t bytes)> on_data;  // in-order payload delivered
-    std::function<void()> on_drained;             // all submitted bytes acked
-    std::function<void()> on_closed;              // reached kClosed
+    // Optional owner notification on reaching kClosed, fired before
+    // on_closed: a plain function pointer + arg (the TimerNode idiom), so an
+    // owner that tracks closed connections costs no closure per connection.
+    void (*owner_closed)(void* arg, TcpConnection* conn) = nullptr;
+    void* owner_arg = nullptr;
   };
 
   // `key.src_*` is the local end. The initial send sequence number is derived

@@ -1,11 +1,91 @@
 #include "src/net/tcp_host.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 #include "src/sim/logger.h"
 
 namespace newtos {
+
+namespace {
+
+constexpr size_t kInitialFlowSlots = 16;
+
+}  // namespace
+
+FlowTable::FlowTable() : slots_(kInitialFlowSlots), mask_(kInitialFlowSlots - 1) {}
+
+size_t FlowTable::HomeSlot(const FlowKey& key, size_t capacity) {
+  assert(capacity >= 2 && (capacity & (capacity - 1)) == 0);
+  const uint64_t h = FlowKeyHash{}(key);
+  return static_cast<size_t>(h >> (64 - std::countr_zero(capacity)));
+}
+
+const FlowTable::Slot* FlowTable::Lookup(const FlowKey& key) const {
+  // Load never exceeds 3/4, so an empty slot always ends the probe.
+  for (size_t i = HomeSlot(key, slots_.size());; i = (i + 1) & mask_) {
+    const Slot& s = slots_[i];
+    if (s.conn == nullptr) {
+      return nullptr;
+    }
+    if (s.key == key) {
+      return &s;
+    }
+  }
+}
+
+TcpConnection* FlowTable::Insert(const FlowKey& key, std::unique_ptr<TcpConnection> conn) {
+  assert(conn != nullptr && Find(key) == nullptr);
+  if ((size_ + 1) * 4 > slots_.size() * 3) {
+    Grow();
+  }
+  ++size_;
+  return Place(key, std::move(conn));
+}
+
+TcpConnection* FlowTable::Place(const FlowKey& key, std::unique_ptr<TcpConnection> conn) {
+  size_t i = HomeSlot(key, slots_.size());
+  while (slots_[i].conn != nullptr) {
+    i = (i + 1) & mask_;
+  }
+  slots_[i].key = key;
+  slots_[i].conn = std::move(conn);
+  return slots_[i].conn.get();
+}
+
+bool FlowTable::Erase(const FlowKey& key) {
+  const Slot* found = Lookup(key);
+  if (found == nullptr) {
+    return false;
+  }
+  size_t hole = static_cast<size_t>(found - slots_.data());
+  slots_[hole].conn.reset();
+  --size_;
+  // Backward shift: walk the rest of the probe run and move back every entry
+  // whose home slot does not lie cyclically in (hole, j], i.e. every entry
+  // the hole would otherwise cut off from its home.
+  for (size_t j = (hole + 1) & mask_; slots_[j].conn != nullptr; j = (j + 1) & mask_) {
+    const size_t home = HomeSlot(slots_[j].key, slots_.size());
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole].key = slots_[j].key;
+      slots_[hole].conn = std::move(slots_[j].conn);
+      hole = j;
+    }
+  }
+  return true;
+}
+
+void FlowTable::Grow() {
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  mask_ = slots_.size() - 1;
+  for (Slot& s : old) {
+    if (s.conn != nullptr) {
+      Place(s.key, std::move(s.conn));
+    }
+  }
+}
 
 TcpHost::TcpHost(Simulation* sim, Ipv4Addr addr, std::function<void(PacketPtr)> output)
     : sim_(sim), addr_(addr), output_(std::move(output)), wheel_(sim) {
@@ -19,39 +99,15 @@ bool TcpHost::Listen(uint16_t port, AppHooks hooks, TcpParams params) {
 
 TcpConnection* TcpHost::CreateConnection(const FlowKey& key, const TcpParams& params,
                                          const AppHooks& hooks) {
-  // The app hooks want the TcpConnection*, which does not exist until the
-  // object is constructed — so the adapters look it up in the table by key.
-  // Callbacks only ever fire from OnSegment/timers, strictly after insertion.
-  auto lookup = [this, key]() -> TcpConnection* {
-    auto it = conns_.find(key);
-    return it != conns_.end() ? it->second.get() : nullptr;
-  };
-  TcpConnection::Callbacks full;
-  full.output = output_;
-  if (hooks.on_established) {
-    full.on_established = [lookup, fn = hooks.on_established] {
-      if (TcpConnection* c = lookup()) fn(c);
-    };
-  }
-  if (hooks.on_data) {
-    full.on_data = [lookup, fn = hooks.on_data](uint32_t bytes) {
-      if (TcpConnection* c = lookup()) fn(c, bytes);
-    };
-  }
-  if (hooks.on_drained) {
-    full.on_drained = [lookup, fn = hooks.on_drained] {
-      if (TcpConnection* c = lookup()) fn(c);
-    };
-  }
-  if (hooks.on_closed) {
-    full.on_closed = [lookup, fn = hooks.on_closed] {
-      if (TcpConnection* c = lookup()) fn(c);
-    };
-  }
-  auto conn = std::make_unique<TcpConnection>(sim_, &wheel_, key, params, std::move(full));
-  TcpConnection* raw = conn.get();
-  conns_[key] = std::move(conn);
-  return raw;
+  TcpConnection::Callbacks cb;
+  static_cast<AppHooks&>(cb) = hooks;
+  // Forwarding through `this` keeps the per-connection copy inline (no heap
+  // block), whatever the host's own output callable captures.
+  cb.output = [this](PacketPtr p) { output_(std::move(p)); };
+  cb.owner_closed = &TcpHost::ConnClosed;
+  cb.owner_arg = this;
+  return conns_.Insert(key, std::make_unique<TcpConnection>(sim_, &wheel_, key, params,
+                                                            std::move(cb)));
 }
 
 TcpConnection* TcpHost::Connect(Ipv4Addr dst, uint16_t dst_port, AppHooks hooks, TcpParams params,
@@ -65,7 +121,7 @@ TcpConnection* TcpHost::Connect(Ipv4Addr dst, uint16_t dst_port, AppHooks hooks,
     if (key_filter && !key_filter(key)) {
       continue;
     }
-    if (conns_.find(key) == conns_.end()) {
+    if (conns_.Find(key) == nullptr) {
       TcpConnection* conn = CreateConnection(key, params, hooks);
       conn->Connect();
       return conn;
@@ -81,9 +137,8 @@ void TcpHost::OnPacket(const PacketPtr& p) {
   }
   // Our flow key is the reverse of the packet's.
   const FlowKey key = PacketFlowKey(*p).Reversed();
-  auto it = conns_.find(key);
-  if (it != conns_.end()) {
-    it->second->OnSegment(*p);
+  if (TcpConnection* conn = conns_.Find(key)) {
+    conn->OnSegment(*p);
     return;
   }
   if (p->tcp.syn() && !p->tcp.ack_flag()) {
@@ -100,21 +155,24 @@ void TcpHost::OnPacket(const PacketPtr& p) {
 }
 
 void TcpHost::Destroy(TcpConnection* conn) {
-  assert(conn != nullptr);
-  conns_.erase(conn->key());
+  assert(conn != nullptr && conns_.Find(conn->key()) == conn);
+  conns_.Erase(conn->key());
 }
 
 size_t TcpHost::ReapClosed() {
+  // Every connection reaches kClosed through ToClosed, which lists it here.
+  // An entry is stale when Destroy() freed that connection (its slot is gone
+  // or holds a newer one) or when it left kClosed again; stale entries are
+  // dropped. Only connections the table still owns are dereferenced.
   size_t reaped = 0;
-  // lint:allow(map-iteration): erase-only sweep; no observable depends on visit order
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (it->second->state() == TcpState::kClosed) {
-      it = conns_.erase(it);
+  for (const ClosedEntry& e : closed_) {
+    const TcpConnection* conn = conns_.Find(e.key);
+    if (conn == e.conn && conn->state() == TcpState::kClosed) {
+      conns_.Erase(e.key);
       ++reaped;
-    } else {
-      ++it;
     }
   }
+  closed_.clear();
   return reaped;
 }
 
@@ -123,13 +181,9 @@ void TcpHost::ScheduleReap() { wheel_.Arm(&reap_node_, sim_->Now()); }
 std::vector<TcpConnection*> TcpHost::Connections() const {
   std::vector<TcpConnection*> out;
   out.reserve(conns_.size());
-  // conns_ is hash-ordered; callers iterate this list to fold per-connection
-  // stats and drive campaigns, so normalize to flow-key order — an unordered
-  // walk leaking out of this accessor is exactly the replay hazard the
-  // determinism goldens exist to catch.
-  for (const auto& [key, conn] : conns_) {  // lint:allow(map-iteration): order normalized by the sort below
-    out.push_back(conn.get());
-  }
+  conns_.ForEach([&out](TcpConnection* conn) { out.push_back(conn); });
+  // Slot order follows the hash; callers iterate this list to fold
+  // per-connection stats and drive campaigns, so normalize to flow-key order.
   std::sort(out.begin(), out.end(), [](const TcpConnection* a, const TcpConnection* b) {
     const FlowKey& ka = a->key();
     const FlowKey& kb = b->key();

@@ -23,6 +23,63 @@
 
 namespace newtos {
 
+// Flat open-addressing flow table: FlowKey -> owned TcpConnection. Slots hold
+// the key inline next to the owner pointer in one power-of-two array, probed
+// linearly from the key's home slot, so a lookup touches one or two cache
+// lines instead of chasing a node chain. Erase shifts the rest of the probe
+// run back (no tombstones); the table grows at 3/4 load and never shrinks.
+// DESIGN.md §9.6 covers the layout and invariants.
+class FlowTable {
+ public:
+  FlowTable();
+  FlowTable(const FlowTable&) = delete;
+  FlowTable& operator=(const FlowTable&) = delete;
+
+  // The connection stored under `key`, or nullptr.
+  TcpConnection* Find(const FlowKey& key) const {
+    const Slot* s = Lookup(key);
+    return s != nullptr ? s->conn.get() : nullptr;
+  }
+
+  // Stores `conn` under `key`, which must be absent. Returns the raw pointer.
+  TcpConnection* Insert(const FlowKey& key, std::unique_ptr<TcpConnection> conn);
+
+  // Destroys the connection stored under `key`. False if there is none.
+  bool Erase(const FlowKey& key);
+
+  // Calls fn(TcpConnection*) for every stored connection, in slot order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.conn != nullptr) {
+        fn(s.conn.get());
+      }
+    }
+  }
+
+  size_t size() const { return size_; }
+  size_t capacity() const { return slots_.size(); }
+
+  // Where `key`'s probe run starts in a table of `capacity` slots: the top
+  // bits of FlowKeyHash, the best-mixed ones of its multiplicative hash.
+  static size_t HomeSlot(const FlowKey& key, size_t capacity);
+
+ private:
+  struct Slot {
+    FlowKey key;
+    std::unique_ptr<TcpConnection> conn;  // nullptr = empty slot
+  };
+
+  const Slot* Lookup(const FlowKey& key) const;
+  // Puts `conn` in the first free slot of `key`'s probe run (no size check).
+  TcpConnection* Place(const FlowKey& key, std::unique_ptr<TcpConnection> conn);
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
 class TcpHost {
  public:
   // `output` transmits a segment toward the peer (wire, or the stack below).
@@ -34,12 +91,8 @@ class TcpHost {
   Ipv4Addr addr() const { return addr_; }
 
   // Application hooks for a connection created by Connect or by a listener.
-  struct AppHooks {
-    std::function<void(TcpConnection*)> on_established;
-    std::function<void(TcpConnection*, uint32_t bytes)> on_data;
-    std::function<void(TcpConnection*)> on_drained;
-    std::function<void(TcpConnection*)> on_closed;
-  };
+  // The host hands them to each connection as they are.
+  using AppHooks = TcpConnection::AppHooks;
 
   // Starts accepting connections on `port`. `hooks` apply to every accepted
   // connection. Returns false if the port is already bound.
@@ -56,10 +109,15 @@ class TcpHost {
   // listener; otherwise demuxes to the matching connection (or drops).
   void OnPacket(const PacketPtr& p);
 
+  // The connection whose local end is `key.src_*`, or nullptr.
+  TcpConnection* Find(const FlowKey& key) const { return conns_.Find(key); }
+
   // Destroys a connection object (after kClosed). Invalidates the pointer.
   void Destroy(TcpConnection* conn);
 
-  // Removes every closed connection from the table (periodic GC in long runs).
+  // Removes every closed connection from the table (periodic GC in long
+  // runs) and returns how many it removed. Costs O(connections closed since
+  // the last reap), not O(table).
   size_t ReapClosed();
 
   // Schedules a ReapClosed for "now" on the host's own timer wheel. Safe to
@@ -75,7 +133,8 @@ class TcpHost {
   size_t connection_count() const { return conns_.size(); }
   uint64_t dropped_no_match() const { return dropped_no_match_; }
 
-  // Enumerates live connections (stable order not guaranteed).
+  // Enumerates the table's connections (closed ones until they are reaped),
+  // sorted by FlowKey.
   std::vector<TcpConnection*> Connections() const;
 
  private:
@@ -84,10 +143,20 @@ class TcpHost {
     TcpParams params;
   };
 
+  // A connection that reached kClosed: its key, and the pointer it had then
+  // (compared against the table's slot, never dereferenced).
+  struct ClosedEntry {
+    FlowKey key;
+    const TcpConnection* conn;
+  };
+
   TcpConnection* CreateConnection(const FlowKey& key, const TcpParams& params,
                                   const AppHooks& hooks);
 
   static void ReapFired(void* arg) { static_cast<TcpHost*>(arg)->ReapClosed(); }
+  static void ConnClosed(void* arg, TcpConnection* conn) {
+    static_cast<TcpHost*>(arg)->closed_.push_back({conn->key(), conn});
+  }
 
   Simulation* sim_;
   Ipv4Addr addr_;
@@ -97,7 +166,8 @@ class TcpHost {
   TimerWheel wheel_;
   TimerNode reap_node_{&TcpHost::ReapFired, this};
   std::unordered_map<uint16_t, Listener> listeners_;
-  std::unordered_map<FlowKey, std::unique_ptr<TcpConnection>, FlowKeyHash> conns_;
+  FlowTable conns_;
+  std::vector<ClosedEntry> closed_;  // since the last ReapClosed
   uint16_t next_ephemeral_ = 49152;
   uint64_t dropped_no_match_ = 0;
 };

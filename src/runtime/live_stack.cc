@@ -388,7 +388,12 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
         }
       }
     }
-    const bool quiesce = sh->transfer_done.load(std::memory_order_acquire);
+    // Quiesce only once one heartbeat round has completed (if heartbeats are
+    // on). Every server stays in its loop until it sees kShutdown, so the
+    // round always completes, and even a transfer that outruns the first
+    // round proves each server answered the watchdog.
+    const bool quiesce = sh->transfer_done.load(std::memory_order_acquire) &&
+                         (round > 0 || max_rounds == 0);
     if (quiesce) {
       for (size_t i = 0; i < n; ++i) {
         if (!shutdown_pushed[i]) {

@@ -1,0 +1,133 @@
+// Allocation gate for the TCP control path: once the flow table, the closed
+// list, the packet pool and the event queue have reached their high-water
+// marks, a Connect -> FIN/TIME_WAIT -> reap cycle allocates exactly one heap
+// block per TcpConnection — the connection object itself. Hooks are handed
+// to connections as they are, the host forwards output through an inline
+// closure, and the reap list is fed by a plain function pointer, so nothing
+// else may allocate per connection.
+//
+// A counting global allocator (same pattern as bench/perf_engine.cc) does
+// the measuring, so this binary is built only without sanitizers.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "src/net/tcp_host.h"
+#include "src/sim/simulation.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocs{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+void* CountedAllocAligned(std::size_t size, std::size_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::aligned_alloc(align, (size + align - 1) / align * align);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAllocAligned(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAllocAligned(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace newtos {
+namespace {
+
+constexpr Ipv4Addr kClientIp = Ipv4(10, 2, 0, 1);
+constexpr Ipv4Addr kServerIp = Ipv4(10, 2, 0, 2);
+constexpr uint16_t kPort = 80;
+constexpr int kFlowsPerCycle = 512;
+
+// Two bare hosts on a 50 us wire. Both ends close as soon as they are
+// established, so every flow runs the whole control path: handshake, FIN
+// exchange, TIME_WAIT, and the reap of both connections.
+class ChurnPair {
+ public:
+  ChurnPair() {
+    TcpHost::AppHooks server;
+    server.on_established = [](TcpConnection* c) { c->CloseSend(); };
+    server.on_closed = [this](TcpConnection*) { ++closed_; };
+    server_.Listen(kPort, server);
+    client_hooks_.on_established = [](TcpConnection* c) { c->CloseSend(); };
+    client_hooks_.on_closed = [this](TcpConnection*) { ++closed_; };
+  }
+
+  // Opens `flows` connections, runs past TIME_WAIT and reaps both hosts.
+  // Returns the number of connections reaped.
+  size_t Cycle(int flows) {
+    for (int i = 0; i < flows; ++i) {
+      if (client_.Connect(kServerIp, kPort, client_hooks_) == nullptr) {
+        return 0;
+      }
+    }
+    sim_.RunFor(20 * kMillisecond);  // handshake + FIN exchange + 10 ms TIME_WAIT
+    return client_.ReapClosed() + server_.ReapClosed();
+  }
+
+  uint64_t closed() const { return closed_; }
+  size_t connections() const { return client_.connection_count() + server_.connection_count(); }
+
+ private:
+  void Wire(PacketPtr p, TcpHost* dst) {
+    sim_.Schedule(50 * kMicrosecond, [p = std::move(p), dst] { dst->OnPacket(p); });
+  }
+
+  Simulation sim_;
+  TcpHost server_{&sim_, kServerIp, [this](PacketPtr p) { Wire(std::move(p), &client_); }};
+  TcpHost client_{&sim_, kClientIp, [this](PacketPtr p) { Wire(std::move(p), &server_); }};
+  TcpHost::AppHooks client_hooks_;
+  uint64_t closed_ = 0;
+};
+
+TEST(TcpHostAllocGate, SteadyCycleAllocatesOnlyTheConnections) {
+  ChurnPair pair;
+  // Warm-up: identical cycles grow the table, the closed lists, the packet
+  // pool, the wheel and the event queue to their high-water marks.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(pair.Cycle(kFlowsPerCycle), 2u * kFlowsPerCycle);
+  }
+  const uint64_t closed0 = pair.closed();
+  const uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  const size_t reaped = pair.Cycle(kFlowsPerCycle);
+  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  ASSERT_EQ(reaped, 2u * kFlowsPerCycle);
+  ASSERT_EQ(pair.closed() - closed0, 2u * kFlowsPerCycle);
+  ASSERT_EQ(pair.connections(), 0u);
+  // One block per TcpConnection: a client and a server end per flow.
+  EXPECT_EQ(allocs, 2u * kFlowsPerCycle)
+      << static_cast<double>(allocs) / (2.0 * kFlowsPerCycle)
+      << " allocations per connection";
+}
+
+}  // namespace
+}  // namespace newtos

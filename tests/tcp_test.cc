@@ -6,6 +6,10 @@
 
 #include <deque>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/random.h"
@@ -28,10 +32,12 @@ class TcpPairTest : public ::testing::Test {
     params_ = params;
     const FlowKey client_key{kClientIp, kServerIp, kClientPort, kServerPort};
     TcpConnection::Callbacks ca;
+    static_cast<TcpConnection::AppHooks&>(ca) = client_hooks_;
     ca.output = [this](PacketPtr p) { Deliver(std::move(p), /*to_server=*/true); };
     client_ = std::make_unique<TcpConnection>(&sim_, &wheel_, client_key, params_, std::move(ca));
 
     TcpConnection::Callbacks cb;
+    static_cast<TcpConnection::AppHooks&>(cb) = server_hooks_;
     cb.output = [this](PacketPtr p) { Deliver(std::move(p), /*to_server=*/false); };
     server_ = std::make_unique<TcpConnection>(&sim_, &wheel_, client_key.Reversed(), params_,
                                               std::move(cb));
@@ -55,6 +61,8 @@ class TcpPairTest : public ::testing::Test {
   Simulation sim_;
   TimerWheel wheel_{&sim_};  // before the connections: they cancel into it on destruction
   TcpParams params_;
+  TcpConnection::AppHooks client_hooks_;  // set before Build()
+  TcpConnection::AppHooks server_hooks_;
   std::unique_ptr<TcpConnection> client_;
   std::unique_ptr<TcpConnection> server_;
   SimTime wire_delay_ = 50 * kMicrosecond;
@@ -432,6 +440,64 @@ TEST_F(TcpPairTest, DeterministicAcrossRuns) {
     return std::make_tuple(st.segs_sent, st.retransmits, b->stats().bytes_received);
   };
   EXPECT_EQ(run(77), run(77));
+}
+
+TEST_F(TcpPairTest, HooksReceiveTheirOwnConnection) {
+  std::vector<std::pair<std::string, TcpConnection*>> seen;
+  auto note = [&seen](const char* what) {
+    return [&seen, what](TcpConnection* c) { seen.emplace_back(what, c); };
+  };
+  client_hooks_.on_established = note("client established");
+  client_hooks_.on_drained = note("client drained");
+  client_hooks_.on_closed = note("client closed");
+  server_hooks_.on_established = note("server established");
+  server_hooks_.on_data = [&seen](TcpConnection* c, uint32_t) { seen.emplace_back("data", c); };
+  server_hooks_.on_closed = note("server closed");
+  Build();
+  client_->Connect();
+  sim_.RunFor(5 * kMillisecond);
+  client_->Send(1000);
+  client_->CloseSend();
+  sim_.RunFor(5 * kMillisecond);
+  server_->CloseSend();
+  sim_.RunFor(1 * kSecond);
+  ASSERT_EQ(client_->state(), TcpState::kClosed);
+  ASSERT_EQ(server_->state(), TcpState::kClosed);
+
+  std::set<std::string> kinds;
+  for (const auto& [what, conn] : seen) {
+    kinds.insert(what);
+    const bool client_side = what.rfind("client", 0) == 0;
+    EXPECT_EQ(conn, client_side ? client_.get() : server_.get()) << what;
+  }
+  EXPECT_EQ(kinds.size(), 6u);
+}
+
+TEST(TcpConnectionOwnerHook, FiresOnceBeforeOnClosed) {
+  Simulation sim;
+  TimerWheel wheel(&sim);
+  struct Log {
+    TcpConnection* owner_saw = nullptr;
+    int owner_calls = 0;
+    bool owner_first = false;
+  } log;
+  TcpConnection::Callbacks cb;
+  cb.output = [](PacketPtr) {};
+  cb.owner_closed = [](void* arg, TcpConnection* conn) {
+    auto* l = static_cast<Log*>(arg);
+    l->owner_saw = conn;
+    ++l->owner_calls;
+  };
+  cb.owner_arg = &log;
+  cb.on_closed = [&log](TcpConnection*) { log.owner_first = log.owner_calls == 1; };
+  const FlowKey key{kClientIp, kServerIp, kClientPort, kServerPort};
+  TcpConnection conn(&sim, &wheel, key, TcpParams{}, std::move(cb));
+  conn.Connect();
+  conn.Abort();
+  conn.Abort();  // already closed: no second notification
+  EXPECT_EQ(log.owner_saw, &conn);
+  EXPECT_EQ(log.owner_calls, 1);
+  EXPECT_TRUE(log.owner_first);
 }
 
 TEST_F(TcpPairTest, StatsCountersAreConsistent) {
