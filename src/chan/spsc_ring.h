@@ -46,9 +46,13 @@ inline constexpr size_t kCacheLineBytes = 64;
 // check binds to each side. A thread records this for itself so post-join
 // audits can map a ring's bound producer_token()/consumer_token() back to a
 // named role (the live stack's wiring export does exactly that). Never 0, so
-// 0 stays the "side never touched" sentinel.
+// 0 stays the "side never touched" sentinel. Computed once per thread:
+// every checked ring call reads it, so hashing this_thread::get_id() per
+// call would sit on the checked hot path.
 inline uint64_t CurrentSpscThreadToken() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1;
+  thread_local const uint64_t token =
+      std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1;
+  return token;
 }
 #endif
 
@@ -110,7 +114,33 @@ class SpscRing {
         return false;
       }
     }
-    slots_[head & mask_].Construct(T(std::forward<Args>(args)...));
+    slots_[head & mask_].Construct(std::forward<Args>(args)...);
+    prod_.head.store(head + 1, std::memory_order_release);
+    return true;
+  }
+
+  // In-place produce: default-constructs the next free slot, runs
+  // `fill(T&)` on it, then publishes it. The element is written exactly
+  // once, straight into ring memory — no temporary, no copy into the slot.
+  // Returns false without calling `fill` when the ring is full. `fill` must
+  // not throw (the slot is not yet published, so nothing could unwind it).
+  template <typename Fill>
+  bool TryPushWith(Fill&& fill) {
+    static_assert(std::is_nothrow_default_constructible_v<T>,
+                  "TryPushWith default-constructs the slot before filling it");
+#if NEWTOS_CHECKERS
+    CheckSide(check_state_.producer_thread);
+#endif
+    const size_t head = prod_.head.load(std::memory_order_relaxed);
+    if (head - prod_.cached_tail > mask_) {
+      prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
+      if (head - prod_.cached_tail > mask_) {
+        return false;
+      }
+    }
+    Slot& slot = slots_[head & mask_];
+    slot.ConstructDefault();
+    std::forward<Fill>(fill)(slot.value());
     prod_.head.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -142,7 +172,8 @@ class SpscRing {
   }
 
   // Peeks without consuming (consumer thread only). Pointer valid until the
-  // next TryPop.
+  // next TryPop or PopFront. Front() + PopFront() is the in-place consume:
+  // the element is read where the producer wrote it, never moved out.
   const T* Front() {
 #if NEWTOS_CHECKERS
     CheckSide(check_state_.consumer_thread);
@@ -155,6 +186,19 @@ class SpscRing {
       }
     }
     return &slots_[tail & mask_].value();
+  }
+
+  // Destroys the front element and frees its slot. Precondition: the last
+  // Front() on this (consumer) thread returned non-null, and nothing was
+  // consumed since.
+  void PopFront() {
+#if NEWTOS_CHECKERS
+    CheckSide(check_state_.consumer_thread);
+#endif
+    const size_t tail = cons_.tail.load(std::memory_order_relaxed);
+    assert(cons_.cached_head != tail && "PopFront on a ring the consumer saw empty");
+    slots_[tail & mask_].Destroy();
+    cons_.tail.store(tail + 1, std::memory_order_release);
   }
 
   // True if the consumer currently sees an empty ring.
@@ -209,7 +253,13 @@ class SpscRing {
  private:
   struct Slot {
     alignas(T) unsigned char storage[sizeof(T)];
-    void Construct(T&& v) { ::new (static_cast<void*>(storage)) T(std::move(v)); }
+    template <typename... Args>
+    void Construct(Args&&... args) {
+      ::new (static_cast<void*>(storage)) T(std::forward<Args>(args)...);
+    }
+    // Default-initialization, not value-initialization: a POD's payload
+    // bytes stay unwritten until the fill writes them.
+    void ConstructDefault() { ::new (static_cast<void*>(storage)) T; }
     T& value() { return *std::launder(reinterpret_cast<T*>(storage)); }
     void Destroy() { value().~T(); }
   };

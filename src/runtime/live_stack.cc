@@ -1,9 +1,10 @@
 #include "src/runtime/live_stack.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
-#include <optional>
+#include <cstring>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -15,6 +16,47 @@
 
 namespace newtos {
 namespace {
+
+// The pattern over one period plus one maximal segment, so the bytes of any
+// segment are one contiguous slice starting at (off mod period).
+using PatternTable = std::array<unsigned char, kRtPatternPeriod + RtMsg::kMaxPayload>;
+
+constexpr PatternTable MakePatternTable() {
+  PatternTable t{};
+  for (size_t i = 0; i < t.size(); ++i) {
+    t[i] = RtPatternByte(i);
+  }
+  return t;
+}
+
+constexpr PatternTable kPattern = MakePatternTable();
+
+const unsigned char* PatternAt(uint64_t off) {
+  return kPattern.data() + (off & (kRtPatternPeriod - 1));
+}
+
+// Writes a header-only control message (ack, heartbeat, shutdown) into a
+// ring slot; for ThreadChannel::TryPushWith.
+auto Control(RtMsg::Type type, uint32_t seq, uint64_t stream_off = 0) {
+  return [type, seq, stream_off](RtMsg& m) -> size_t {
+    m.type = type;
+    m.len = 0;
+    m.seq = seq;
+    m.stream_off = stream_off;
+    m.born_ns = 0;
+    return kRtHeaderBytes;
+  };
+}
+
+// Forwards `src` into a ring slot: the header plus the `len` payload bytes
+// actually in use, never the whole fixed-size slot; for TryPushWith.
+auto CopyOf(const RtMsg& src) {
+  return [&src](RtMsg& m) -> size_t {
+    const size_t bytes = kRtHeaderBytes + src.len;
+    std::memcpy(static_cast<void*>(&m), &src, bytes);
+    return bytes;
+  };
+}
 
 // Watchdog attachment for one server: heartbeats arrive on `in`, acks leave
 // on `out`. Inactive (nullptr) for the mini stack and for the watchdog
@@ -34,22 +76,22 @@ bool ServiceWd(ServerContext& ctx, WdPort& wd, bool* wd_done) {
     return false;
   }
   bool work = false;
-  while (std::optional<RtMsg> m = wd.in->TryPop()) {
+  while (const RtMsg* m = wd.in->Front()) {
     work = true;
-    if (m->type == RtMsg::Type::kHeartbeat) {
-      RtMsg ack;
-      ack.type = RtMsg::Type::kHeartbeatAck;
-      ack.seq = m->seq;
+    const RtMsg::Type type = m->type;
+    const uint32_t seq = m->seq;
+    wd.in->PopFront();
+    if (type == RtMsg::Type::kHeartbeat) {
       // The one sanctioned spin: the watchdog always drains its ack rings and
       // never blocks back on this server, so the wait is bounded (mirrored by
       // the [[blocking]] entry in tools/analyze/analyze.toml).
       // lint:allow(blocking-push): watchdog always drains acks; bounded wait
-      while (!wd.out->TryPush(ack)) {
+      while (!wd.out->TryPushWith(Control(RtMsg::Type::kHeartbeatAck, seq))) {
         if (ctx.StopRequested()) {
           return work;
         }
       }
-    } else if (m->type == RtMsg::Type::kShutdown) {
+    } else if (type == RtMsg::Type::kShutdown) {
       *wd_done = true;
     }
   }
@@ -84,10 +126,11 @@ struct WdOut {
 
 // --- Server bodies -------------------------------------------------------
 //
-// Every body follows the same shape: a non-blocking service loop (full
-// outputs land in a one-slot pending buffer, never a blocked push), a
-// ServiceWd step, and ctx.Idle() with a recheck that mirrors exactly the
-// conditions under which the loop could make progress.
+// Every body follows the same shape: a non-blocking service loop over
+// in-place ring slots (a message whose output ring is full stays at the
+// front of its input ring — no blocked push, no side buffer), a ServiceWd
+// step, and ctx.Idle() with a recheck that mirrors exactly the conditions
+// under which the loop could make progress.
 
 void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdPort wd,
              TraceRecorder* rec, TrackId track, NameId e2e) {
@@ -97,8 +140,6 @@ void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdP
   uint32_t seq = 0;
   bool shutdown_sent = false;
   bool wd_done = !wd.active();
-  RtMsg m;
-  bool msg_ready = false;
 
   while (!(shutdown_sent && wd_done)) {
     if (ctx.StopRequested()) {
@@ -106,33 +147,28 @@ void AppBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* out, WdP
     }
     bool work = false;
     if (off < total) {
-      if (!msg_ready) {
-        const uint32_t len =
-            static_cast<uint32_t>(std::min<uint64_t>(mss, total - off));
+      const uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(mss, total - off));
+      // The segment is stamped straight into the ring slot, only once the
+      // ring has room for it.
+      const bool pushed = out->TryPushWith([&](RtMsg& m) -> size_t {
         m.type = RtMsg::Type::kData;
         m.len = static_cast<uint16_t>(len);
         m.seq = seq;
         m.stream_off = off;
-        for (uint32_t i = 0; i < len; ++i) {
-          m.payload[i] = RtPatternByte(off + i);
-        }
-        msg_ready = true;
-      }
-      m.born_ns = sh->clock.NowNs();
-      if (out->TryPush(m)) {
+        RtStampPayload(off, m.payload, len);
+        m.born_ns = sh->clock.NowNs();
+        return kRtHeaderBytes + len;
+      });
+      if (pushed) {
         if (TraceOn(rec)) {
           rec->AsyncBegin(sh->clock.NowPs(), track, e2e, seq + 1);
         }
-        off += m.len;
+        off += len;
         ++seq;
-        msg_ready = false;
         work = true;
       }
     } else if (!shutdown_sent) {
-      RtMsg s;
-      s.type = RtMsg::Type::kShutdown;
-      s.seq = seq;
-      if (out->TryPush(s)) {
+      if (out->TryPushWith(Control(RtMsg::Type::kShutdown, seq))) {
         shutdown_sent = true;
         work = true;
       }
@@ -151,7 +187,6 @@ void TcpBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
   bool fwd_shutdown = false;   // data-path shutdown forwarded downstream
   bool ack_shutdown = false;   // ack-path shutdown received (all data acked)
   bool wd_done = !wd.active();
-  std::optional<RtMsg> pending;
 
   // A data segment is admissible when it fits the in-flight window (acks
   // are cumulative byte counts from the peer). Shutdown rides behind the
@@ -166,42 +201,30 @@ void TcpBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
       return;
     }
     bool work = false;
-    while (std::optional<RtMsg> a = ack_in->TryPop()) {
+    while (const RtMsg* a = ack_in->Front()) {
       work = true;
       if (a->type == RtMsg::Type::kAck) {
         acked_bytes = std::max(acked_bytes, a->stream_off);
       } else if (a->type == RtMsg::Type::kShutdown) {
         ack_shutdown = true;
       }
+      ack_in->PopFront();
     }
-    if (pending && data_out->TryPush(*pending)) {
-      if (pending->type == RtMsg::Type::kShutdown) {
-        fwd_shutdown = true;
-      }
-      pending.reset();
-      work = true;
-    }
-    while (!pending && !fwd_shutdown) {
+    // Forward admissible segments slot to slot; a full data_out leaves the
+    // front segment where it is until the next pass.
+    while (!fwd_shutdown) {
       const RtMsg* front = data_in->Front();
-      if (front == nullptr || !admissible(*front)) {
+      if (front == nullptr || !admissible(*front) || !data_out->TryPushWith(CopyOf(*front))) {
         break;
       }
-      RtMsg msg = *data_in->TryPop();
+      fwd_shutdown = front->type == RtMsg::Type::kShutdown;
+      data_in->PopFront();
       work = true;
-      const bool is_shutdown = msg.type == RtMsg::Type::kShutdown;
-      if (!data_out->TryPush(msg)) {
-        pending = msg;
-      } else if (is_shutdown) {
-        fwd_shutdown = true;
-      }
     }
     work |= ServiceWd(ctx, wd, &wd_done);
     ctx.Idle(work, [&] {
       if (!ack_in->EmptyConsumer() || WdHasInput(wd)) {
         return true;
-      }
-      if (pending) {
-        return data_out->HasSpaceProducer();
       }
       if (!fwd_shutdown) {
         const RtMsg* front = data_in->Front();
@@ -213,43 +236,28 @@ void TcpBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in,
 }
 
 // Bidirectional store-and-forward: the live ip server shuttles data down
-// and acks up, one pending slot per direction.
+// and acks up, slot to slot in each direction.
 struct ForwardDir {
   ThreadChannel<RtMsg>* in = nullptr;
   ThreadChannel<RtMsg>* out = nullptr;
-  std::optional<RtMsg> pending;
   bool shutdown_forwarded = false;
 };
 
 bool ForwardStep(ForwardDir& d) {
   bool work = false;
-  if (d.pending && d.out->TryPush(*d.pending)) {
-    if (d.pending->type == RtMsg::Type::kShutdown) {
-      d.shutdown_forwarded = true;
-    }
-    d.pending.reset();
-    work = true;
-  }
-  while (!d.pending && !d.shutdown_forwarded) {
-    std::optional<RtMsg> m = d.in->TryPop();
-    if (!m) {
+  while (!d.shutdown_forwarded) {
+    const RtMsg* m = d.in->Front();
+    if (m == nullptr || !d.out->TryPushWith(CopyOf(*m))) {
       break;
     }
+    d.shutdown_forwarded = m->type == RtMsg::Type::kShutdown;
+    d.in->PopFront();
     work = true;
-    const bool is_shutdown = m->type == RtMsg::Type::kShutdown;
-    if (!d.out->TryPush(*m)) {
-      d.pending = *m;
-    } else if (is_shutdown) {
-      d.shutdown_forwarded = true;
-    }
   }
   return work;
 }
 
 bool ForwardCanProgress(ForwardDir& d) {
-  if (d.pending) {
-    return d.out->HasSpaceProducer();
-  }
   return !d.shutdown_forwarded && !d.in->EmptyConsumer() && d.out->HasSpaceProducer();
 }
 
@@ -273,32 +281,28 @@ void PeerBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in
               TrackId track, NameId e2e) {
   const bool verify = sh->cfg->verify_payload;
   bool wd_done = !wd.active();
-  std::optional<RtMsg> pending_ack;
 
-  while (!((out->saw_shutdown && !pending_ack) && wd_done)) {
+  while (!(out->saw_shutdown && wd_done)) {
     if (ctx.StopRequested()) {
       return;
     }
     bool work = false;
-    if (pending_ack && ack_out->TryPush(*pending_ack)) {
-      pending_ack.reset();
-      work = true;
-    }
-    while (!pending_ack) {
-      std::optional<RtMsg> m = data_in->TryPop();
-      if (!m) {
+    // Each message is answered before it is consumed: a full ack ring leaves
+    // it at the front of data_in until the next pass.
+    while (!out->saw_shutdown) {
+      const RtMsg* m = data_in->Front();
+      if (m == nullptr) {
         break;
       }
-      work = true;
       if (m->type == RtMsg::Type::kData) {
-        if (verify) {
-          for (uint32_t i = 0; i < m->len; ++i) {
-            if (m->payload[i] != RtPatternByte(m->stream_off + i)) {
-              ++out->payload_errors;
-            }
-          }
+        const uint64_t delivered = out->delivered + m->len;
+        if (!ack_out->TryPushWith(Control(RtMsg::Type::kAck, m->seq, delivered))) {
+          break;
         }
-        out->delivered += m->len;
+        if (verify) {
+          out->payload_errors += RtPayloadErrors(m->stream_off, m->payload, m->len);
+        }
+        out->delivered = delivered;
         ++out->chunks;
         // Same FNV-1a fold as StreamIntegrityChecker::OnChunk — the digest
         // is directly comparable to the DES reference.
@@ -308,34 +312,24 @@ void PeerBody(ServerContext& ctx, SharedState* sh, ThreadChannel<RtMsg>* data_in
         if (TraceOn(rec)) {
           rec->AsyncEnd(sh->clock.NowPs(), track, e2e, m->seq + 1);
         }
-        RtMsg ack;
-        ack.type = RtMsg::Type::kAck;
-        ack.seq = m->seq;
-        ack.stream_off = out->delivered;
-        if (!ack_out->TryPush(ack)) {
-          pending_ack = ack;
-        }
       } else if (m->type == RtMsg::Type::kShutdown) {
+        if (!ack_out->TryPushWith(Control(RtMsg::Type::kShutdown, 0))) {
+          break;
+        }
         out->saw_shutdown = true;
         // Wake the watchdog so it can broadcast the quiesce.
         sh->transfer_done.store(true, std::memory_order_release);
         if (sh->wd_gate != nullptr) {
           sh->wd_gate->Notify();
         }
-        RtMsg echo;
-        echo.type = RtMsg::Type::kShutdown;
-        if (!ack_out->TryPush(echo)) {
-          pending_ack = echo;
-        }
-        break;
       }
+      data_in->PopFront();
+      work = true;
     }
     work |= ServiceWd(ctx, wd, &wd_done);
     ctx.Idle(work, [&] {
-      if (!data_in->EmptyConsumer() || WdHasInput(wd)) {
-        return true;
-      }
-      return pending_ack.has_value() && ack_out->HasSpaceProducer();
+      return WdHasInput(wd) || (!out->saw_shutdown && !data_in->EmptyConsumer() &&
+                                ack_out->HasSpaceProducer());
     });
   }
 }
@@ -380,12 +374,13 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
     }
     bool work = false;
     for (size_t i = 0; i < n; ++i) {
-      while (std::optional<RtMsg> m = in_rings[i]->TryPop()) {
+      while (const RtMsg* m = in_rings[i]->Front()) {
         work = true;
         if (m->type == RtMsg::Type::kHeartbeatAck) {
           ++acked[i];
           outstanding[i] = false;
         }
+        in_rings[i]->PopFront();
       }
     }
     // Quiesce only once one heartbeat round has completed (if heartbeats are
@@ -397,9 +392,7 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
     if (quiesce) {
       for (size_t i = 0; i < n; ++i) {
         if (!shutdown_pushed[i]) {
-          RtMsg s;
-          s.type = RtMsg::Type::kShutdown;
-          if (out_rings[i]->TryPush(s)) {
+          if (out_rings[i]->TryPushWith(Control(RtMsg::Type::kShutdown, 0))) {
             shutdown_pushed[i] = true;
             work = true;
           }
@@ -416,10 +409,7 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
       bool round_complete = true;
       for (size_t i = 0; i < n; ++i) {
         if (!outstanding[i] && sent[i] <= round) {
-          RtMsg hb;
-          hb.type = RtMsg::Type::kHeartbeat;
-          hb.seq = round;
-          if (out_rings[i]->TryPush(hb)) {
+          if (out_rings[i]->TryPushWith(Control(RtMsg::Type::kHeartbeat, round))) {
             outstanding[i] = true;
             ++sent[i];
             work = true;
@@ -446,6 +436,24 @@ void WatchdogBody(ServerContext& ctx, SharedState* sh,
 }
 
 }  // namespace
+
+void RtStampPayload(uint64_t off, unsigned char* dst, uint32_t len) {
+  assert(len <= RtMsg::kMaxPayload);
+  std::memcpy(dst, PatternAt(off), len);
+}
+
+uint64_t RtPayloadErrors(uint64_t off, const unsigned char* p, uint32_t len) {
+  assert(len <= RtMsg::kMaxPayload);
+  const unsigned char* want = PatternAt(off);
+  if (std::memcmp(p, want, len) == 0) {
+    return 0;
+  }
+  uint64_t errors = 0;
+  for (uint32_t i = 0; i < len; ++i) {
+    errors += p[i] != want[i] ? 1 : 0;
+  }
+  return errors;
+}
 
 LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
   LiveStackResult result;
@@ -596,9 +604,7 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
       TcpBody(ctx, &sh, a2t, t2down, i2t, wd_port(1));
     })));
     ctxs.push_back(&engine.Add("ip", cpu_for(2), finish([&](ServerContext& ctx) {
-      ForwardDir down{t2down, i2p, std::nullopt, false};
-      ForwardDir up{p2up, i2t, std::nullopt, false};
-      IpBody(ctx, std::move(down), std::move(up), wd_port(2));
+      IpBody(ctx, ForwardDir{t2down, i2p}, ForwardDir{p2up, i2t}, wd_port(2));
     })));
     ctxs.push_back(&engine.Add("peer", cpu_for(3), finish([&](ServerContext& ctx) {
       PeerBody(ctx, &sh, i2p, p2up, wd_port(3), &peer_out, recs[3], tracks[3], e2e_peer);
@@ -677,6 +683,7 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
     rs.pushes = c->pushes();
     rs.pops = c->pops();
     rs.full_retries = c->full_retries();
+    rs.bytes_written = c->bytes_written();
     rs.residue = c->Residue();
     rs.imposters = c->imposters();
     if (rs.pushes != rs.pops || rs.residue != 0) {

@@ -21,9 +21,14 @@
 // Flow control mirrors TCP's: the tcp thread forwards a segment only when
 // it fits the advertised window (in-flight bytes), advancing on cumulative
 // acks from the peer; the app↔tcp ring provides backpressure upstream. Every
-// server loop is non-blocking (a full output parks the message in a pending
-// slot and the loop keeps servicing its other inputs), so the ring graph
-// cannot deadlock.
+// server loop is non-blocking (a message whose output ring is full stays at
+// the front of its input ring and the loop keeps servicing its other
+// inputs), so the ring graph cannot deadlock.
+//
+// Messages move in place: producers write straight into ring slots
+// (ThreadChannel::TryPushWith) and consumers read them where they lie
+// (Front/PopFront). A data hop copies header plus payload once; acks,
+// heartbeats and shutdowns write the header only.
 //
 // Shutdown is a quiesce protocol, not a cancellation: a kShutdown token
 // rides the data path behind the last segment, bounces back along the ack
@@ -36,6 +41,7 @@
 #ifndef SRC_RUNTIME_LIVE_STACK_H_
 #define SRC_RUNTIME_LIVE_STACK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -72,12 +78,30 @@ struct RtMsg {
   unsigned char payload[kMaxPayload];
 };
 static_assert(std::is_trivially_copyable_v<RtMsg>, "RtMsg must stay a POD slot");
+static_assert(std::is_standard_layout_v<RtMsg>, "kRtHeaderBytes relies on offsetof");
+
+// The header: every byte before the payload. Control messages (acks,
+// heartbeats, shutdown) write only these into a ring slot.
+inline constexpr size_t kRtHeaderBytes = offsetof(RtMsg, payload);
 
 // The deterministic payload byte at absolute stream offset `off` — both ends
-// compute it independently, so verification needs no reference copy.
-inline unsigned char RtPatternByte(uint64_t off) {
+// compute it independently, so verification needs no reference copy. Both
+// terms depend only on the low 15 bits of `off`, so the pattern repeats
+// every kRtPatternPeriod bytes.
+inline constexpr uint64_t kRtPatternPeriod = uint64_t{1} << 15;
+inline constexpr unsigned char RtPatternByte(uint64_t off) {
   return static_cast<unsigned char>((off * 131) ^ (off >> 7));
 }
+
+// Writes the pattern of stream bytes [off, off + len) into `dst`: one
+// memcpy from a precomputed table. len <= RtMsg::kMaxPayload.
+void RtStampPayload(uint64_t off, unsigned char* dst, uint32_t len);
+
+// Counts the bytes of `p[0, len)` that differ from the pattern of stream
+// bytes [off, off + len). Every byte is compared (one memcmp); the per-byte
+// count runs only on a mismatch, so the result stays exact. len <=
+// RtMsg::kMaxPayload.
+uint64_t RtPayloadErrors(uint64_t off, const unsigned char* p, uint32_t len);
 
 struct LiveStackConfig {
   uint64_t transfer_bytes = 1 << 20;  // fig2-small default: 1 MiB
@@ -107,8 +131,9 @@ struct LiveRingStats {
   uint64_t pushes = 0;
   uint64_t pops = 0;
   uint64_t full_retries = 0;
-  uint64_t residue = 0;    // slots still occupied post-join (must be 0)
-  uint64_t imposters = 0;  // SpscRing identity violations (NEWTOS_CHECKERS)
+  uint64_t bytes_written = 0;  // bytes producers copied into slots
+  uint64_t residue = 0;        // slots still occupied post-join (must be 0)
+  uint64_t imposters = 0;      // SpscRing identity violations (NEWTOS_CHECKERS)
 };
 
 struct LiveStackResult {

@@ -1,6 +1,9 @@
 // ThreadChannel: the live backend's channel — a bare SpscRing plus the
 // doorbells and counters the engine needs, presenting the same vocabulary as
-// the simulated SimChannel (Push/Pop/Front, per-side stats, checker hook).
+// the simulated SimChannel (push, Front/pop, per-side stats, checker hook).
+// Both sides work in place: TryPushWith fills the ring slot directly and
+// Front/PopFront consume it where it lies, so a message is never copied
+// into or out of ring memory as a whole.
 //
 // The DES wrapper modeled a shared-memory ring; this IS one. No cost model,
 // no taps, no scheduled delivery: a push is a release store into the ring
@@ -18,8 +21,8 @@
 #ifndef SRC_RUNTIME_THREAD_CHANNEL_H_
 #define SRC_RUNTIME_THREAD_CHANNEL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -49,12 +52,18 @@ class ThreadChannel {
 
   // --- Producer side ---
 
-  bool TryPush(T value) {
-    if (!ring_.TryPush(std::move(value))) {
+  // In-place produce (SpscRing::TryPushWith): `fill(T&)` writes the message
+  // straight into the ring slot and returns how many bytes it wrote, which
+  // feeds bytes_written(). Not called when the ring is full.
+  template <typename Fill>
+  bool TryPushWith(Fill&& fill) {
+    size_t bytes = 0;
+    if (!ring_.TryPushWith([&fill, &bytes](T& slot) { bytes = fill(slot); })) {
       ++prod_stats_.full_retries;
       return false;
     }
     ++prod_stats_.pushes;
+    prod_stats_.bytes_written += bytes;
     if (consumer_gate_ != nullptr) {
       consumer_gate_->Notify();
     }
@@ -67,20 +76,18 @@ class ThreadChannel {
 
   // --- Consumer side ---
 
-  std::optional<T> TryPop() {
-    std::optional<T> out = ring_.TryPop();
-    if (out.has_value()) {
-      ++cons_stats_.pops;
-      if (producer_gate_ != nullptr) {
-        producer_gate_->Notify();
-      }
-    }
-    return out;
-  }
-
   // Peek without consuming (consumer thread only; pointer valid until the
-  // next TryPop).
+  // next PopFront).
   const T* Front() { return ring_.Front(); }
+
+  // Consumes the element Front() returned, in place.
+  void PopFront() {
+    ring_.PopFront();
+    ++cons_stats_.pops;
+    if (producer_gate_ != nullptr) {
+      producer_gate_->Notify();
+    }
+  }
 
   bool EmptyConsumer() { return ring_.EmptyConsumer(); }
 
@@ -89,6 +96,8 @@ class ThreadChannel {
   uint64_t pushes() const { return prod_stats_.pushes; }
   uint64_t pops() const { return cons_stats_.pops; }
   uint64_t full_retries() const { return prod_stats_.full_retries; }
+  // Bytes producers wrote into slots, as each fill reported them.
+  uint64_t bytes_written() const { return prod_stats_.bytes_written; }
   size_t Residue() const { return ring_.SizeProducer(); }
 
   uint64_t imposters() const {
@@ -115,6 +124,7 @@ class ThreadChannel {
   struct alignas(kCacheLineBytes) ProducerStats {
     uint64_t pushes = 0;
     uint64_t full_retries = 0;
+    uint64_t bytes_written = 0;
   };
   struct alignas(kCacheLineBytes) ConsumerStats {
     uint64_t pops = 0;

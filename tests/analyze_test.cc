@@ -113,6 +113,15 @@ TEST(AnalyzeFixture, UnsanctionedPushFiresExactlyOnce) {
   EXPECT_EQ(diags[0].line, 13);
 }
 
+TEST(AnalyzeFixture, InPlacePushSpinFiresExactlyOnce) {
+  const auto diags = NonNotes(RunFixture("in_place_push.cc", MustParse("")));
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "blocking-push");
+  EXPECT_FALSE(diags[0].waived);
+  EXPECT_EQ(diags[0].line, 17);
+  EXPECT_NE(diags[0].message.find("TryPushWith"), std::string::npos) << diags[0].message;
+}
+
 TEST(AnalyzeFixture, SanctionedPushIsWaived) {
   const Config config = MustParse(
       "[[blocking]]\n"

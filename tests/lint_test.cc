@@ -105,6 +105,17 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The in-place push takes a fill callback instead of a value; spinning on
+// it is the same blocking shape and must fire the same rule.
+TEST(Lint, BlockingPushAlsoMatchesInPlacePush) {
+  const std::vector<Diagnostic> diags =
+      LintFixture("blocking_push_with.cc", AllRulesConfig());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "blocking-push");
+  EXPECT_FALSE(diags[0].waived);
+  EXPECT_EQ(diags[0].line, 16);
+}
+
 TEST(Lint, CleanFixtureHasNoDiagnostics) {
   const std::vector<Diagnostic> diags = LintFixture("clean.cc", AllRulesConfig());
   EXPECT_TRUE(diags.empty());

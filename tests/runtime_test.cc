@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <optional>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/check/channel_checker.h"
 #include "src/host/affinity.h"
@@ -104,8 +106,9 @@ TEST(ThreadChannel, CountsAndNotifiesAcrossThreads) {
   std::thread consumer([&] {
     int got = 0;
     while (got < kN) {
-      if (std::optional<int> v = chan.TryPop()) {
+      if (const int* v = chan.Front()) {
         sum.fetch_add(*v, std::memory_order_relaxed);
+        chan.PopFront();
         ++got;
       } else {
         const uint32_t e = consumer_gate.PrepareWait();
@@ -118,7 +121,10 @@ TEST(ThreadChannel, CountsAndNotifiesAcrossThreads) {
     }
   });
   for (int i = 1; i <= kN;) {
-    if (chan.TryPush(i)) {
+    if (chan.TryPushWith([i](int& slot) {
+          slot = i;
+          return sizeof(int);
+        })) {
       ++i;
     }
   }
@@ -126,8 +132,79 @@ TEST(ThreadChannel, CountsAndNotifiesAcrossThreads) {
   EXPECT_EQ(sum.load(), static_cast<long long>(kN) * (kN + 1) / 2);
   EXPECT_EQ(chan.pushes(), static_cast<uint64_t>(kN));
   EXPECT_EQ(chan.pops(), static_cast<uint64_t>(kN));
+  EXPECT_EQ(chan.bytes_written(), kN * sizeof(int));
   EXPECT_EQ(chan.Residue(), 0u);
   EXPECT_EQ(chan.imposters(), 0u);
+}
+
+// --- Payload stamp / verify ---
+
+std::vector<unsigned char> Stamped(uint64_t off, uint32_t len) {
+  std::vector<unsigned char> buf(len);
+  RtStampPayload(off, buf.data(), len);
+  return buf;
+}
+
+TEST(LivePayload, StampMatchesThePatternFormula) {
+  // The table-driven stamp must reproduce RtPatternByte at any offset,
+  // including offsets far past the first period.
+  for (const uint64_t off : {uint64_t{0}, uint64_t{1}, uint64_t{1460}, kRtPatternPeriod - 1,
+                             kRtPatternPeriod, uint64_t{3} * kRtPatternPeriod + 77,
+                             (uint64_t{1} << 40) + 12345}) {
+    const std::vector<unsigned char> buf = Stamped(off, RtMsg::kMaxPayload);
+    for (uint32_t i = 0; i < RtMsg::kMaxPayload; ++i) {
+      ASSERT_EQ(buf[i], RtPatternByte(off + i)) << "off " << off << " byte " << i;
+    }
+  }
+}
+
+TEST(LivePayload, CleanSegmentHasNoErrors) {
+  const uint64_t off = 5 * 1460;
+  const std::vector<unsigned char> buf = Stamped(off, 1460);
+  EXPECT_EQ(RtPayloadErrors(off, buf.data(), 1460), 0u);
+  // Short tail segments and empty ones too.
+  EXPECT_EQ(RtPayloadErrors(off, buf.data(), 17), 0u);
+  EXPECT_EQ(RtPayloadErrors(off, buf.data(), 0), 0u);
+}
+
+TEST(LivePayload, FlippedBytesCountExactly) {
+  const uint64_t off = 123456;
+  for (const uint32_t k : {1u, 2u, 7u, 100u, 1460u}) {
+    std::vector<unsigned char> buf = Stamped(off, 1460);
+    // k distinct positions spread over the segment, first and last included.
+    for (uint32_t j = 0; j < k; ++j) {
+      const size_t pos = k == 1 ? 0 : static_cast<size_t>(j) * 1459 / (k - 1);
+      buf[pos] ^= 0x5a;
+    }
+    EXPECT_EQ(RtPayloadErrors(off, buf.data(), 1460), k) << k << " flipped bytes";
+  }
+  // A lone flip anywhere — the last byte included — is seen: every byte is
+  // compared, not a prefix or a sample.
+  for (const size_t pos : {size_t{0}, size_t{731}, size_t{1458}, size_t{1459}}) {
+    std::vector<unsigned char> buf = Stamped(off, 1460);
+    buf[pos] ^= 0x01;
+    EXPECT_EQ(RtPayloadErrors(off, buf.data(), 1460), 1u) << "flip at " << pos;
+  }
+}
+
+TEST(LivePayload, SegmentSpanningThePatternWrapVerifies) {
+  // Starts 100 bytes before the period boundary, so the segment's pattern
+  // crosses from the end of one period into the next.
+  const uint64_t off = 7 * kRtPatternPeriod - 100;
+  std::vector<unsigned char> buf(RtMsg::kMaxPayload);
+  for (uint32_t i = 0; i < RtMsg::kMaxPayload; ++i) {
+    buf[i] = RtPatternByte(off + i);
+  }
+  EXPECT_EQ(RtPayloadErrors(off, buf.data(), RtMsg::kMaxPayload), 0u);
+  EXPECT_EQ(Stamped(off, RtMsg::kMaxPayload), buf);
+  // Corrupt the last byte before the wrap, the first after it, and one
+  // deep in the next period.
+  buf[99] ^= 1;
+  buf[100] ^= 1;
+  buf[1000] ^= 0xff;
+  EXPECT_EQ(RtPayloadErrors(off, buf.data(), RtMsg::kMaxPayload), 3u);
+  // The same bytes checked against a shifted offset are mostly wrong.
+  EXPECT_GT(RtPayloadErrors(off + 1, buf.data(), RtMsg::kMaxPayload), 1000u);
 }
 
 // --- The live stack ---
@@ -212,6 +289,43 @@ TEST(LiveStack, ChannelCheckerReportsZeroImpostersInLiveMode) {
   EXPECT_EQ(r.TotalImposters(), 0u);
   // Full stack: 5 data/ack rings + 2 watchdog rings per watched server.
   EXPECT_EQ(checker.live_rings().size(), 15u);
+}
+
+// Bytes-copied gate: each hop writes every payload byte exactly once plus
+// one header per message, and control rings (acks, heartbeats, shutdown)
+// write headers only. A hop that copies whole fixed-size slots, or a second
+// copy of the payload, breaks the equalities.
+void ExpectHeaderPlusPayloadOncePerHop(bool mini) {
+  LiveStackConfig cfg;
+  cfg.transfer_bytes = kTransfer;
+  cfg.mini = mini;
+  const LiveStackResult r = RunLiveFig2(cfg);
+  ASSERT_TRUE(r.completed);
+  ASSERT_TRUE(r.conservation_ok);
+  const std::set<std::string> data_rings =
+      mini ? std::set<std::string>{"app/tcp", "tcp/peer"}
+           : std::set<std::string>{"app/tcp", "tcp/ip", "ip/peer"};
+  size_t data_seen = 0;
+  for (const LiveRingStats& ring : r.rings) {
+    EXPECT_GT(ring.pushes, 0u) << ring.name;
+    if (data_rings.count(ring.name) != 0) {
+      ++data_seen;
+      // Every segment, then the shutdown token (header only).
+      EXPECT_EQ(ring.pushes, r.chunks + 1) << ring.name;
+      EXPECT_EQ(ring.bytes_written, kTransfer + ring.pushes * kRtHeaderBytes) << ring.name;
+    } else {
+      EXPECT_EQ(ring.bytes_written, ring.pushes * kRtHeaderBytes) << ring.name;
+    }
+  }
+  EXPECT_EQ(data_seen, data_rings.size());
+}
+
+TEST(LiveStackBytesCopiedGate, MiniStackCopiesPayloadOncePerHop) {
+  ExpectHeaderPlusPayloadOncePerHop(/*mini=*/true);
+}
+
+TEST(LiveStackBytesCopiedGate, FullStackCopiesPayloadOncePerHop) {
+  ExpectHeaderPlusPayloadOncePerHop(/*mini=*/false);
 }
 
 TEST(LiveStack, TraceRecordersCaptureEndToEndHops) {

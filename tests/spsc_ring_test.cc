@@ -77,6 +77,114 @@ TEST(SpscRing, TryEmplaceConstructsInPlace) {
   EXPECT_EQ(ring.TryPop(), std::optional<std::string>("hello"));
 }
 
+// Counts constructions and destructions of a non-trivial element, so the
+// in-place calls can be checked for exactly-once destruction.
+struct Tracked {
+  static int live;
+  static int destroyed;
+  int value = -1;
+  std::string tag;  // makes the type non-trivial to destroy
+  Tracked() noexcept { ++live; }
+  Tracked(Tracked&& o) noexcept : value(o.value), tag(std::move(o.tag)) { ++live; }
+  ~Tracked() {
+    --live;
+    ++destroyed;
+  }
+};
+int Tracked::live = 0;
+int Tracked::destroyed = 0;
+
+TEST(SpscRing, TryPushWithOnFullRingNeverCallsFill) {
+  SpscRing<int> ring(4);
+  int fills = 0;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(ring.TryPushWith([&](int& slot) {
+      ++fills;
+      slot = i;
+    }));
+  }
+  EXPECT_FALSE(ring.TryPushWith([&](int& slot) {
+    ++fills;
+    slot = 99;
+  }));
+  EXPECT_EQ(fills, 4);
+  EXPECT_EQ(ring.SizeProducer(), 4u);
+  ASSERT_NE(ring.Front(), nullptr);
+  EXPECT_EQ(*ring.Front(), 0);  // the rejected push wrote nothing
+}
+
+TEST(SpscRing, InPlaceCallsKeepFifoOrderAcrossWraparound) {
+  SpscRing<uint64_t> ring(4);
+  uint64_t next_push = 0;
+  uint64_t next_pop = 0;
+  // Uneven push/pop bursts walk the cursors through many wraps at every
+  // slot offset.
+  for (int round = 0; round < 500; ++round) {
+    const int burst = 1 + round % 4;
+    for (int k = 0; k < burst; ++k) {
+      if (!ring.TryPushWith([&](uint64_t& slot) { slot = next_push; })) {
+        break;
+      }
+      ++next_push;
+    }
+    for (int k = 0; k < 1 + (round + 1) % 3; ++k) {
+      const uint64_t* front = ring.Front();
+      if (front == nullptr) {
+        break;
+      }
+      ASSERT_EQ(*front, next_pop);
+      ring.PopFront();
+      ++next_pop;
+    }
+  }
+  while (const uint64_t* front = ring.Front()) {
+    ASSERT_EQ(*front, next_pop);
+    ring.PopFront();
+    ++next_pop;
+  }
+  EXPECT_EQ(next_pop, next_push);
+  EXPECT_GT(next_push, 4u * 100);
+  EXPECT_TRUE(ring.EmptyConsumer());
+}
+
+TEST(SpscRing, InPlaceNonTrivialElementDestroyedExactlyOnce) {
+  Tracked::live = 0;
+  Tracked::destroyed = 0;
+  {
+    SpscRing<Tracked> ring(4);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(ring.TryPushWith([i](Tracked& t) {
+        t.value = i;
+        t.tag.assign(64, static_cast<char>('a' + i));  // heap-backed string
+      }));
+    }
+    EXPECT_EQ(Tracked::live, 3);  // built in the slots: no temporaries
+    EXPECT_EQ(Tracked::destroyed, 0);
+    const Tracked* front = ring.Front();
+    ASSERT_NE(front, nullptr);
+    EXPECT_EQ(front->value, 0);
+    EXPECT_EQ(front->tag, std::string(64, 'a'));
+    ring.PopFront();
+    EXPECT_EQ(Tracked::live, 2);
+    EXPECT_EQ(Tracked::destroyed, 1);
+    // The remaining two are drained by the ring's destructor.
+  }
+  EXPECT_EQ(Tracked::live, 0);
+  EXPECT_EQ(Tracked::destroyed, 3);
+}
+
+TEST(SpscRing, TryEmplaceConstructsInTheSlotWithoutTemporary) {
+  Tracked::live = 0;
+  Tracked::destroyed = 0;
+  {
+    SpscRing<Tracked> ring(2);
+    ASSERT_TRUE(ring.TryEmplace());
+    EXPECT_EQ(Tracked::live, 1);
+    EXPECT_EQ(Tracked::destroyed, 0);  // no moved-from temporary was built
+  }
+  EXPECT_EQ(Tracked::destroyed, 1);
+}
+
 TEST(SpscRing, DestructorDrainsRemainingElements) {
   auto counter = std::make_shared<int>(0);
   struct Probe {

@@ -94,6 +94,44 @@ TEST(SpscTsan, FrontPeeksSafelyWhileProducing) {
   producer.join();
 }
 
+TEST(SpscTsan, InPlaceFillAndFrontPopCrossIntact) {
+  // The in-place pair: the producer writes a multi-word slot through
+  // TryPushWith, the consumer reads it where it lies via Front and frees it
+  // with PopFront. A fill that leaked past the publishing release store, or
+  // a slot reused before PopFront's release, shows up as a torn slot here
+  // and as a race report under TSan.
+  struct Wide {
+    uint64_t words[16];
+  };
+  constexpr uint64_t kMessages = 100'000;
+  SpscRing<Wide> ring(64);
+  std::thread producer([&ring] {
+    for (uint64_t i = 0; i < kMessages;) {
+      if (ring.TryPushWith([i](Wide& w) {
+            for (uint64_t& word : w.words) {
+              word = i;
+            }
+          })) {
+        ++i;
+      }
+    }
+  });
+  uint64_t expected = 0;
+  while (expected < kMessages) {
+    const Wide* front = ring.Front();
+    if (front == nullptr) {
+      continue;
+    }
+    for (const uint64_t word : front->words) {
+      ASSERT_EQ(word, expected);  // strict FIFO, every word of the slot intact
+    }
+    ring.PopFront();
+    ++expected;
+  }
+  producer.join();
+  EXPECT_TRUE(ring.EmptyConsumer());
+}
+
 TEST(SpscTsan, PingPongBouncesEveryMessage) {
   // Two rings, two threads, each thread producer of one ring and consumer of
   // the other — the steady-state topology of the pipelined stack.

@@ -1092,8 +1092,15 @@ struct Extractor {
   }
 };
 
-// Blocking-site scan: `while ( ...! ... Push( / TryPush( ... )` — a busy-wait
-// on a ring push. Token-accurate, so comments and strings can't trigger it.
+// The ring push calls: copying (Push, TryPush, TryEmplace) or in place
+// (TryPushWith, which fills the slot through a callback).
+bool IsPushName(const Tok& tok) {
+  return tok.kind == Tok::kIdent && (tok.text == "Push" || tok.text == "TryPush" ||
+                                     tok.text == "TryEmplace" || tok.text == "TryPushWith");
+}
+
+// Blocking-site scan: `while ( ...! ... <push call>( ... )` — a busy-wait on
+// a ring push. Token-accurate, so comments and strings can't trigger it.
 void ScanBlockingSites(const SourceFile& file, const TokVec& t, Model* model) {
   for (size_t i = 0; i + 1 < t.size(); ++i) {
     if (!IsId(t[i], "while") || !Is(t[i + 1], "(")) {
@@ -1106,9 +1113,7 @@ void ScanBlockingSites(const SourceFile& file, const TokVec& t, Model* model) {
       if (Is(t[j], "!")) {
         has_not = true;
       }
-      if (t[j].kind == Tok::kIdent && (t[j].text == "Push" || t[j].text == "TryPush" ||
-                                       t[j].text == "TryEmplace") &&
-          j + 1 < close && Is(t[j + 1], "(")) {
+      if (IsPushName(t[j]) && j + 1 < close && Is(t[j + 1], "(")) {
         has_push = true;
       }
     }

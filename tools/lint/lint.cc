@@ -735,7 +735,8 @@ class Linter {
   }
 
   // --- blocking-push: a producer busy-waiting on a ring push,
-  // `while (!ring.Push(x))` / `->TryPush` / `.TryEmplace`. Backpressure must
+  // `while (!ring.Push(x))` / `->TryPush` / `.TryEmplace` / `.TryPushWith`
+  // (the in-place push, which takes a fill callback). Backpressure must
   // park or drop, never spin: a spinning producer plus a blocked consumer is
   // the deadlock shape the static wait-graph check proves absent, and every
   // sanctioned spin must be visible to it via analyze.toml.
@@ -754,7 +755,7 @@ class Linter {
       if (cond.find('!') == std::string::npos) {
         continue;
       }
-      for (const char* call : {"Push(", "TryPush(", "TryEmplace("}) {
+      for (const char* call : {"Push(", "TryPush(", "TryEmplace(", "TryPushWith("}) {
         const size_t c = cond.find(call);
         const bool member_call =
             c != std::string::npos &&

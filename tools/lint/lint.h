@@ -47,12 +47,12 @@
 //                    be a named constant in src/scenario/defaults.h, so the
 //                    script surface and the campaign oracle stay auditable
 //   blocking-push    a busy-wait loop on a ring push (`while (!q.Push(x))`
-//                    and the TryPush/TryEmplace variants) — a producer that
-//                    spins until its consumer drains turns backpressure into
-//                    a potential deadlock; the sanctioned spin sites carry an
-//                    inline waiver plus a matching [[blocking]] entry in
-//                    tools/analyze/analyze.toml so the static deadlock check
-//                    knows about the wait edge
+//                    and the TryPush/TryEmplace/TryPushWith variants) — a
+//                    producer that spins until its consumer drains turns
+//                    backpressure into a potential deadlock; the sanctioned
+//                    spin sites carry an inline waiver plus a matching
+//                    [[blocking]] entry in tools/analyze/analyze.toml so the
+//                    static deadlock check knows about the wait edge
 
 #ifndef TOOLS_LINT_LINT_H_
 #define TOOLS_LINT_LINT_H_
