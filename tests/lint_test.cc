@@ -62,6 +62,10 @@ struct RuleCase {
   const char* rule;
 };
 
+// Without a printer gtest shows the raw pointer bytes, and the discovered
+// ctest names would change with every build's address layout.
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.fixture; }
+
 class LintRule : public ::testing::TestWithParam<RuleCase> {};
 
 // With every rule enabled, each fixture must produce exactly one diagnostic,
