@@ -29,7 +29,8 @@
 // Results land in the "million" and "knee" sections of BENCH_timers.json
 // (the "micro" section, written by bench/timer_micro, is preserved).
 // --million --check is the ctest gate: full 10^6 flows, asserts zero
-// steady-state allocations, skips the slow knee sweep and teardown timing.
+// steady-state allocations and the per-socket byte budget of the ramp,
+// skips the slow knee sweep and teardown timing.
 
 #include <algorithm>
 #include <atomic>
@@ -134,6 +135,10 @@ constexpr uint16_t kMillionBasePort = 80;
 constexpr int kMillionPortBlocks = 64;
 constexpr int kPortBlockCapacity = 16384;
 constexpr SimTime kMillionWireDelay = 50 * kMicrosecond;
+// Budget for the bytes allocated per socket over the ramp after the first
+// block: the TcpConnection (664 B with libstdc++), its share of the flow
+// table, and the bed's own bookkeeping; 805 B measured.
+constexpr double kMaxRampBytesPerSocket = 830.0;
 
 class MillionBed {
  public:
@@ -149,6 +154,8 @@ class MillionBed {
     for (int b = 0; b < kMillionPortBlocks; ++b) {
       server_.Listen(static_cast<uint16_t>(kMillionBasePort + b), server_hooks);
     }
+    client_hooks_.on_established = [this](TcpConnection*) { ++established_; };
+    client_hooks_.on_closed = [this](TcpConnection*) { --established_; };
   }
 
   Simulation& sim() { return sim_; }
@@ -160,11 +167,8 @@ class MillionBed {
   // Opens `count` connections against listening port `port`. Fresh port
   // blocks never collide in the ephemeral allocator, so this is O(count).
   void OpenBlock(uint16_t port, size_t count) {
-    TcpHost::AppHooks hooks;
-    hooks.on_established = [this](TcpConnection*) { ++established_; };
-    hooks.on_closed = [this](TcpConnection*) { --established_; };
     for (size_t i = 0; i < count; ++i) {
-      TcpConnection* c = client_.Connect(kMillionServerIp, port, hooks);
+      TcpConnection* c = client_.Connect(kMillionServerIp, port, client_hooks_);
       if (c == nullptr) {
         std::fprintf(stderr, "million: ephemeral range exhausted on port %u\n", port);
         std::abort();
@@ -235,6 +239,7 @@ class MillionBed {
   Simulation sim_;
   TcpHost server_;
   TcpHost client_;
+  TcpHost::AppHooks client_hooks_;  // shared by every client connection
   std::vector<TcpConnection*> conns_;
   std::unordered_map<FlowKey, TcpConnection*, FlowKeyHash> server_by_key_;
   size_t established_ = 0;
@@ -382,6 +387,13 @@ int RunMillion(size_t flows, bool check, const std::string& out_path) {
                    bed.client().connection_count(), bed.server().connection_count(), flows);
       return 1;
     }
+    if (r.bytes_per_socket_late > kMaxRampBytesPerSocket) {
+      std::fprintf(stderr,
+                   "FAIL: %.0f bytes allocated per socket over the ramp, budget %.0f; "
+                   "per-connection state grew\n",
+                   r.bytes_per_socket_late, kMaxRampBytesPerSocket);
+      return 1;
+    }
     if (r.steady_allocs != 0) {
       std::fprintf(stderr,
                    "FAIL: %llu steady-state allocations across %llu events at %zu flows; "
@@ -395,8 +407,10 @@ int RunMillion(size_t flows, bool check, const std::string& out_path) {
                            "is not exercising the timer path\n");
       return 1;
     }
-    std::printf("OK: %zu concurrent flows, %llu events, 0 steady-state allocations\n",
-                flows, static_cast<unsigned long long>(r.steady_events));
+    std::printf("OK: %zu concurrent flows, %llu events, 0 steady-state allocations, "
+                "%.0f <= %.0f bytes/socket\n",
+                flows, static_cast<unsigned long long>(r.steady_events),
+                r.bytes_per_socket_late, kMaxRampBytesPerSocket);
     return 0;
   }
 

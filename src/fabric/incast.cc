@@ -136,6 +136,7 @@ uint64_t UdpIncastBed::Digest() const {
 // --- TcpIncastBed ---------------------------------------------------------
 
 struct TcpIncastBed::Client {
+  TcpHost::AppHooks hooks;  // borrowed by the connection `peer` holds
   std::unique_ptr<Nic> nic;
   std::unique_ptr<PeerHost> peer;
   SimTime start_at = 0;
@@ -143,7 +144,6 @@ struct TcpIncastBed::Client {
   bool established = false;
 
   void Connect(Ipv4Addr sut) {
-    TcpHost::AppHooks hooks;
     hooks.on_established = [this](TcpConnection* conn) {
       established = true;
       // Two bursts in flight (double buffering), refilled on drain.

@@ -10,6 +10,10 @@
 //                  srtt   = (7*srtt + m) / 8                 (alpha = 1/8)
 //   always:        rto    = clamp(srtt + 4*rttvar, rto_min, rto_max)
 //
+// The clamp bounds are configuration, not estimator state: callers pass them
+// in (a TcpConnection reads them from its shared TcpParams), so the
+// per-connection object holds only what it measures.
+//
 // State machine (one sample in flight at a time, per RFC 6298 §3):
 //
 //   idle --StartSample(end_seq)--> pending --OnAck(ack >= end_seq)--> idle
@@ -36,8 +40,7 @@ namespace newtos {
 
 class RttEst {
  public:
-  RttEst(SimTime rto_initial, SimTime rto_min, SimTime rto_max)
-      : rto_(rto_initial), rto_min_(rto_min), rto_max_(rto_max) {}
+  explicit RttEst(SimTime rto_initial) : rto_(rto_initial) {}
 
   // --- Sample lifecycle (Karn's rule) ---
 
@@ -59,7 +62,7 @@ class RttEst {
   // Cumulative ACK advanced to `ack`. Returns true iff a fresh RTT sample
   // was taken (the timed segment is covered and nothing was retransmitted
   // meanwhile); per §5.7 that is also the moment the backoff resets.
-  bool OnAck(uint32_t ack, SimTime now) {
+  bool OnAck(uint32_t ack, SimTime now, SimTime rto_min, SimTime rto_max) {
     if (!sample_pending_ || static_cast<int32_t>(sample_seq_ - ack) > 0) {
       return false;  // no sample in flight, or the timed segment is not covered
     }
@@ -67,13 +70,14 @@ class RttEst {
     if (tainted_) {
       return false;  // Karn: ambiguous measurement, discard
     }
-    Update(now - sample_sent_at_);
+    Update(now - sample_sent_at_, rto_min, rto_max);
     backoff_ = 0;
     return true;
   }
 
-  // Folds one measurement into srtt/rttvar and recomputes the clamped RTO.
-  void Update(SimTime measured) {
+  // Folds one measurement into srtt/rttvar and recomputes the RTO, clamped
+  // to [rto_min, rto_max].
+  void Update(SimTime measured, SimTime rto_min, SimTime rto_max) {
     if (srtt_ == 0) {
       srtt_ = measured;
       rttvar_ = measured / 2;
@@ -82,7 +86,7 @@ class RttEst {
       rttvar_ = (3 * rttvar_ + err) / 4;
       srtt_ = (7 * srtt_ + measured) / 8;
     }
-    rto_ = std::clamp(srtt_ + 4 * rttvar_, rto_min_, rto_max_);
+    rto_ = std::clamp(srtt_ + 4 * rttvar_, rto_min, rto_max);
   }
 
   // --- Exponential backoff (§5.5-§5.7) ---
@@ -93,31 +97,28 @@ class RttEst {
 
   // The RTO to arm: base RTO doubled once per consecutive timeout, saturating
   // at rto_max.
-  SimTime BackoffedRto() const {
+  SimTime BackoffedRto(SimTime rto_max) const {
     SimTime effective = rto_;
-    for (int i = 0; i < backoff_ && effective < rto_max_; ++i) {
+    for (int i = 0; i < backoff_ && effective < rto_max; ++i) {
       effective *= 2;
     }
-    return std::min(effective, rto_max_);
+    return std::min(effective, rto_max);
   }
 
   // --- Introspection ---
   SimTime srtt() const { return srtt_; }
   SimTime rttvar() const { return rttvar_; }
   SimTime rto() const { return rto_; }
-  SimTime rto_max() const { return rto_max_; }
 
  private:
   SimTime srtt_ = 0;    // 0 = no sample yet (first measurement seeds directly)
   SimTime rttvar_ = 0;
   SimTime rto_;
-  SimTime rto_min_;
-  SimTime rto_max_;
+  SimTime sample_sent_at_ = 0;
   int backoff_ = 0;
 
-  bool sample_pending_ = false;
   uint32_t sample_seq_ = 0;     // sample completes when cumulative ACK covers this
-  SimTime sample_sent_at_ = 0;
+  bool sample_pending_ = false;
   bool tainted_ = false;        // a retransmission overlapped the sample
 };
 

@@ -41,23 +41,25 @@ const char* TcpStateName(TcpState s) {
 }
 
 TcpConnection::TcpConnection(Simulation* sim, TimerWheel* wheel, const FlowKey& key,
-                             const TcpParams& params, Callbacks callbacks)
+                             const TcpParams* params, const Callbacks& callbacks)
     : sim_(sim),
       key_(key),
       params_(params),
-      cb_(std::move(callbacks)),
-      est_(params_.rto_initial, params_.rto_min, params_.rto_max),
+      cb_(callbacks),
+      est_(params_->rto_initial),
       wheel_(wheel),
       rto_node_(&TcpConnection::RtoFired, this),
       delack_node_(&TcpConnection::DelackFired, this),
       persist_node_(&TcpConnection::PersistFired, this),
       time_wait_node_(&TcpConnection::TimeWaitFired, this) {
-  assert(cb_.output && "TcpConnection requires an output function");
+  assert(params_ != nullptr && "TcpConnection borrows its params");
+  assert(cb_.hooks != nullptr && "TcpConnection borrows its hooks (an empty set if none)");
+  assert(cb_.output != nullptr && "TcpConnection requires an output function");
   assert(wheel_ != nullptr && "TcpConnection timers live on a TimerWheel");
   iss_ = static_cast<uint32_t>(FlowKeyHash{}(key_));
   snd_una_ = snd_nxt_ = iss_;
-  cwnd_ = params_.init_cwnd_segments * params_.mss;
-  last_advertised_wnd_ = params_.rcv_wnd;
+  cwnd_ = params_->init_cwnd_segments * params_->mss;
+  last_advertised_wnd_ = params_->rcv_wnd;
 }
 
 TcpConnection::~TcpConnection() {
@@ -108,10 +110,10 @@ void TcpConnection::Abort() {
 }
 
 uint32_t TcpConnection::AdvertisedWindow() const {
-  if (unread_bytes_ >= params_.rcv_wnd) {
+  if (unread_bytes_ >= params_->rcv_wnd) {
     return 0;
   }
-  return params_.rcv_wnd - static_cast<uint32_t>(unread_bytes_);
+  return params_->rcv_wnd - static_cast<uint32_t>(unread_bytes_);
 }
 
 PacketPtr TcpConnection::MakeSegment(uint8_t flags, uint32_t seq, uint32_t payload) {
@@ -132,7 +134,7 @@ PacketPtr TcpConnection::MakeSegment(uint8_t flags, uint32_t seq, uint32_t paylo
   p->tcp.ack = rcv_nxt_;
   p->tcp.flags = flags;
   p->tcp.window = AdvertisedWindow();
-  if (params_.sack && (flags & kTcpAck) != 0) {
+  if (params_->sack && (flags & kTcpAck) != 0) {
     // Advertise up to kMaxSackBlocks buffered ranges, newest (highest) first
     // — RFC 2018 requires the block with the most recent arrival to lead,
     // and under sequential arrival behind holes that is the trailing range.
@@ -205,8 +207,8 @@ std::optional<std::pair<uint32_t, uint32_t>> TcpConnection::NextHole(uint32_t fr
   if (it != sacked_.end() && it->first < end) {
     end = it->first;
   }
-  if (end - start > params_.mss) {
-    end = start + params_.mss;
+  if (end - start > params_->mss) {
+    end = start + params_->mss;
   }
   return std::make_pair(start, end);
 }
@@ -229,15 +231,15 @@ bool TcpConnection::RetransmitNextHole() {
 void TcpConnection::Emit(PacketPtr p) {
   ++stats_.segs_sent;
   last_advertised_wnd_ = p->tcp.window;
-  cb_.output(std::move(p));
+  cb_.output(cb_.owner_arg, std::move(p));
 }
 
 void TcpConnection::SendControl(uint8_t flags, uint32_t seq) { Emit(MakeSegment(flags, seq, 0)); }
 
 void TcpConnection::SendAck(bool forced) {
-  if (!forced && params_.delayed_ack && segs_since_ack_ < 2 && ooo_.empty()) {
+  if (!forced && params_->delayed_ack && segs_since_ack_ < 2 && ooo_.empty()) {
     if (!delack_node_.armed()) {
-      wheel_->Arm(&delack_node_, sim_->Now() + params_.delayed_ack_timeout);
+      wheel_->Arm(&delack_node_, sim_->Now() + params_->delayed_ack_timeout);
     }
     return;
   }
@@ -266,7 +268,7 @@ void TcpConnection::TrySend() {
       break;
     }
     const uint32_t len = static_cast<uint32_t>(
-        std::min<uint64_t>({params_.mss, send_queue_bytes_, usable}));
+        std::min<uint64_t>({params_->mss, send_queue_bytes_, usable}));
     uint8_t flags = kTcpAck;
     if (len == send_queue_bytes_) {
       flags |= kTcpPsh;
@@ -308,13 +310,13 @@ void TcpConnection::MaybeFin() {
 
 void TcpConnection::EnterEstablished() {
   state_ = TcpState::kEstablished;
-  cwnd_ = params_.init_cwnd_segments * params_.mss;
+  cwnd_ = params_->init_cwnd_segments * params_->mss;
   est_.ResetBackoff();
   tlp_fired_ = false;
   NEWTOS_LOG(kDebug, sim_->Now(), "tcp", "established " << Ipv4ToString(key_.src_ip) << ":"
                                                         << key_.src_port);
-  if (cb_.on_established) {
-    cb_.on_established(this);
+  if (cb_.hooks->on_established) {
+    cb_.hooks->on_established(this);
   }
   TrySend();
 }
@@ -400,7 +402,7 @@ void TcpConnection::ProcessAck(const Packet& p) {
     return;
   }
 
-  if (params_.sack) {
+  if (params_->sack) {
     AbsorbSackBlocks(p.tcp);
   }
 
@@ -422,14 +424,14 @@ void TcpConnection::ProcessAck(const Packet& p) {
     // taken — i.e. a newly transmitted segment was acked — not on any
     // cumulative advance. An ACK for a retransmission is ambiguous (it may
     // be the original, long-delayed) and must keep the backed-off RTO.
-    est_.OnAck(ack, sim_->Now());
+    est_.OnAck(ack, sim_->Now(), params_->rto_min, params_->rto_max);
 
     snd_una_ = ack;
     tlp_fired_ = false;  // new episode: the tail moved forward
     snd_wnd_ = p.tcp.window;
 
     // The scoreboard never needs ranges at or below the cumulative ACK.
-    if (params_.sack && !sacked_.empty()) {
+    if (params_->sack && !sacked_.empty()) {
       const uint32_t ack_rel = ack - iss_;
       auto it = sacked_.begin();
       while (it != sacked_.end() && it->second <= ack_rel) {
@@ -448,30 +450,30 @@ void TcpConnection::ProcessAck(const Packet& p) {
         in_fast_recovery_ = false;
         cwnd_ = ssthresh_;
         dupacks_ = 0;
-      } else if (params_.sack && !sacked_.empty()) {
+      } else if (params_->sack && !sacked_.empty()) {
         // SACK partial ACK: resend the next hole if one exists; if not, the
         // earlier hole retransmissions are still in flight and a blind
         // resend would only duplicate them.
         RetransmitNextHole();
-        cwnd_ = cwnd_ > payload_acked ? cwnd_ - payload_acked + params_.mss : params_.mss;
+        cwnd_ = cwnd_ > payload_acked ? cwnd_ - payload_acked + params_->mss : params_->mss;
       } else {
         // NewReno partial ACK: retransmit the next in-order hole, deflate.
         const uint32_t data_end = fin_sent_ ? fin_seq_ : snd_nxt_;
         if (SeqLt(snd_una_, data_end)) {
-          const uint32_t len = std::min(params_.mss, data_end - snd_una_);
+          const uint32_t len = std::min(params_->mss, data_end - snd_una_);
           PacketPtr seg = MakeSegment(kTcpAck, snd_una_, len);
           ++stats_.retransmits;
           est_.OnRetransmit();
           Emit(std::move(seg));
         }
-        cwnd_ = cwnd_ > payload_acked ? cwnd_ - payload_acked + params_.mss : params_.mss;
+        cwnd_ = cwnd_ > payload_acked ? cwnd_ - payload_acked + params_->mss : params_->mss;
       }
     } else {
       dupacks_ = 0;
       if (cwnd_ < ssthresh_) {
-        cwnd_ += std::min(payload_acked, params_.mss);  // slow start
+        cwnd_ += std::min(payload_acked, params_->mss);  // slow start
       } else if (cwnd_ > 0) {
-        cwnd_ += std::max<uint32_t>(1, params_.mss * params_.mss / cwnd_);  // AIMD
+        cwnd_ += std::max<uint32_t>(1, params_->mss * params_->mss / cwnd_);  // AIMD
       }
     }
 
@@ -489,8 +491,8 @@ void TcpConnection::ProcessAck(const Packet& p) {
           return;
         }
       }
-      if (send_queue_bytes_ == 0 && cb_.on_drained) {
-        cb_.on_drained(this);
+      if (send_queue_bytes_ == 0 && cb_.hooks->on_drained) {
+        cb_.hooks->on_drained(this);
       }
     } else {
       ArmRto();
@@ -509,16 +511,16 @@ void TcpConnection::ProcessAck(const Packet& p) {
   if (p.payload_bytes == 0 && !window_update && flight_size() > 0) {
     ++dupacks_;
     ++stats_.dupacks_rcvd;
-    if (!in_fast_recovery_ && dupacks_ == params_.dupack_threshold) {
+    if (!in_fast_recovery_ && dupacks_ == params_->dupack_threshold) {
       // Fast retransmit.
       const uint32_t flight = flight_size();
-      ssthresh_ = std::max(flight / 2, 2 * params_.mss);
+      ssthresh_ = std::max(flight / 2, 2 * params_->mss);
       retran_high_ = snd_una_ - iss_;
       const uint32_t data_end = fin_sent_ ? fin_seq_ : snd_nxt_;
-      if (params_.sack && RetransmitNextHole()) {
+      if (params_->sack && RetransmitNextHole()) {
         ++stats_.fast_retransmits;
       } else if (SeqLt(snd_una_, data_end)) {
-        const uint32_t len = std::min(params_.mss, data_end - snd_una_);
+        const uint32_t len = std::min(params_->mss, data_end - snd_una_);
         PacketPtr seg = MakeSegment(kTcpAck, snd_una_, len);
         ++stats_.retransmits;
         ++stats_.fast_retransmits;
@@ -529,12 +531,12 @@ void TcpConnection::ProcessAck(const Packet& p) {
         ++stats_.retransmits;
         ++stats_.fast_retransmits;
       }
-      cwnd_ = ssthresh_ + 3 * params_.mss;
+      cwnd_ = ssthresh_ + 3 * params_->mss;
       in_fast_recovery_ = true;
       recover_ = snd_nxt_;
     } else if (in_fast_recovery_) {
-      cwnd_ += params_.mss;  // inflate per extra dupack
-      if (params_.sack) {
+      cwnd_ += params_->mss;  // inflate per extra dupack
+      if (params_->sack) {
         // Each dupack's fresh SACK info can reveal the next hole to fill —
         // the mechanism that repairs multiple losses per window in one RTT.
         RetransmitNextHole();
@@ -590,10 +592,10 @@ void TcpConnection::DeliverInOrder(const Packet& p) {
           unread_bytes_ += delivered;
         }
         ++segs_since_ack_;
-        if (cb_.on_data) {
-          cb_.on_data(this, static_cast<uint32_t>(delivered));
+        if (cb_.hooks->on_data) {
+          cb_.hooks->on_data(this, static_cast<uint32_t>(delivered));
         }
-        SendAck(!ooo_.empty() || !params_.delayed_ack || segs_since_ack_ >= 2);
+        SendAck(!ooo_.empty() || !params_->delayed_ack || segs_since_ack_ >= 2);
       }
     }
   }
@@ -632,15 +634,15 @@ void TcpConnection::ArmRto() {
   // TLP (when enabled): with no backoff in effect and an RTT estimate on
   // hand, the first firing of rto_node_ this episode is a probe at
   // PTO = max(2*srtt, 2ms), never later than the RTO it stands in for.
-  if (params_.tail_loss_probe && !tlp_fired_ && est_.backoff() == 0 && est_.srtt() > 0) {
-    const SimTime pto =
-        std::min(std::max(2 * est_.srtt(), 2 * kMillisecond), est_.BackoffedRto());
+  const SimTime rto = est_.BackoffedRto(params_->rto_max);
+  if (params_->tail_loss_probe && !tlp_fired_ && est_.backoff() == 0 && est_.srtt() > 0) {
+    const SimTime pto = std::min(std::max(2 * est_.srtt(), 2 * kMillisecond), rto);
     tlp_pending_ = true;
     wheel_->Arm(&rto_node_, sim_->Now() + pto);
     return;
   }
   tlp_pending_ = false;
-  wheel_->Arm(&rto_node_, sim_->Now() + est_.BackoffedRto());
+  wheel_->Arm(&rto_node_, sim_->Now() + rto);
 }
 
 void TcpConnection::DisarmRto() {
@@ -670,7 +672,7 @@ void TcpConnection::OnTlpTimeout() {
   ++stats_.tlp_probes;
   const uint32_t data_end = fin_sent_ ? fin_seq_ : snd_nxt_;
   if (SeqLt(snd_una_, data_end)) {
-    const uint32_t len = std::min(params_.mss, data_end - snd_una_);
+    const uint32_t len = std::min(params_->mss, data_end - snd_una_);
     PacketPtr seg = MakeSegment(kTcpAck, data_end - len, len);
     ++stats_.retransmits;
     est_.OnRetransmit();
@@ -717,8 +719,8 @@ void TcpConnection::OnRtoTimeout() {
   // Loss response: collapse to one segment, exit any fast recovery. The
   // SACK scoreboard is discarded (conservative: the peer's view may be
   // stale after a full timeout).
-  ssthresh_ = std::max(flight_size() / 2, 2 * params_.mss);
-  cwnd_ = params_.mss;
+  ssthresh_ = std::max(flight_size() / 2, 2 * params_->mss);
+  cwnd_ = params_->mss;
   in_fast_recovery_ = false;
   dupacks_ = 0;
   sacked_.clear();
@@ -727,7 +729,7 @@ void TcpConnection::OnRtoTimeout() {
 
   const uint32_t data_end = fin_sent_ ? fin_seq_ : snd_nxt_;
   if (SeqLt(snd_una_, data_end)) {
-    const uint32_t len = std::min(params_.mss, data_end - snd_una_);
+    const uint32_t len = std::min(params_->mss, data_end - snd_una_);
     PacketPtr seg = MakeSegment(kTcpAck, snd_una_, len);
     ++stats_.retransmits;
     Emit(std::move(seg));
@@ -754,7 +756,7 @@ void TcpConnection::OnPersistTimeout() {
   // snd_nxt_ is NOT advanced — the byte is a probe, not a transmission.
   PacketPtr probe = MakeSegment(kTcpAck, snd_nxt_, 1);
   Emit(std::move(probe));
-  wheel_->Arm(&persist_node_, sim_->Now() + std::min(2 * est_.rto(), params_.rto_max));
+  wheel_->Arm(&persist_node_, sim_->Now() + std::min(2 * est_.rto(), params_->rto_max));
 }
 
 void TcpConnection::SetAutoConsume(bool on) {
@@ -775,7 +777,7 @@ void TcpConnection::EnterTimeWait() {
   state_ = TcpState::kTimeWait;
   DisarmRto();
   wheel_->Cancel(&persist_node_);
-  wheel_->Arm(&time_wait_node_, sim_->Now() + params_.time_wait);
+  wheel_->Arm(&time_wait_node_, sim_->Now() + params_->time_wait);
 }
 
 void TcpConnection::ToClosed() {
@@ -790,8 +792,8 @@ void TcpConnection::ToClosed() {
   if (cb_.owner_closed != nullptr) {
     cb_.owner_closed(cb_.owner_arg, this);
   }
-  if (cb_.on_closed) {
-    cb_.on_closed(this);
+  if (cb_.hooks->on_closed) {
+    cb_.hooks->on_closed(this);
   }
 }
 

@@ -5,9 +5,10 @@
 // segmentation, cumulative ACKs with delayed-ACK, flow control with a
 // persist timer, slow start, congestion avoidance, fast
 // retransmit/recovery (Reno), RTO with Karn's rule and exponential
-// backoff, FIN teardown and TIME_WAIT. Not implemented (documented
-// simplifications): SACK, window scaling as an option (the codec applies a
-// fixed scale), urgent data, and out-of-band control.
+// backoff, FIN teardown and TIME_WAIT, and (with TcpParams::sack) RFC 2018
+// selective acknowledgment with a sender-side scoreboard. Not implemented
+// (documented simplifications): window scaling as an option (the codec
+// applies a fixed scale), urgent data, and out-of-band control.
 //
 // Payload *contents* are not modeled — connections move byte counts with
 // real sequence-number arithmetic (wraparound-safe). Out-of-order arrival,
@@ -65,6 +66,8 @@ struct TcpParams {
   // 2ms floor), then fall back to the normal backed-off RTO. Off by default:
   // the paper's figures were pinned without it.
   bool tail_loss_probe = false;
+
+  bool operator==(const TcpParams&) const = default;
 };
 
 struct TcpStats {
@@ -92,7 +95,7 @@ struct TcpStats {
 class TcpConnection {
  public:
   // Optional application notifications. Each gets the connection it is
-  // about, so an owner can pass one set of hooks to many connections.
+  // about, so an owner passes one set of hooks to many connections.
   struct AppHooks {
     std::function<void(TcpConnection*)> on_established;
     std::function<void(TcpConnection*, uint32_t bytes)> on_data;  // in-order payload delivered
@@ -100,12 +103,17 @@ class TcpConnection {
     std::function<void(TcpConnection*)> on_closed;   // reached kClosed
   };
 
-  struct Callbacks : AppHooks {
+  // What the owner lends a connection. Nothing here is copied: the hooks are
+  // the owner's, and the owner's side is plain function pointers + one arg
+  // (the TimerNode idiom), so a connection carries no closure of its own.
+  struct Callbacks {
+    // Required, borrowed: must outlive the connection. An owner with no
+    // hooks points at an empty set.
+    const AppHooks* hooks = nullptr;
     // Required: hands a ready segment to the layer below (IP).
-    std::function<void(PacketPtr)> output;
+    void (*output)(void* arg, PacketPtr p) = nullptr;
     // Optional owner notification on reaching kClosed, fired before
-    // on_closed: a plain function pointer + arg (the TimerNode idiom), so an
-    // owner that tracks closed connections costs no closure per connection.
+    // on_closed.
     void (*owner_closed)(void* arg, TcpConnection* conn) = nullptr;
     void* owner_arg = nullptr;
   };
@@ -113,9 +121,11 @@ class TcpConnection {
   // `key.src_*` is the local end. The initial send sequence number is derived
   // deterministically from the key (reproducible runs). All four connection
   // timers live as intrusive nodes on `wheel` (one wake event per wheel, not
-  // per flow); the wheel must outlive the connection.
-  TcpConnection(Simulation* sim, TimerWheel* wheel, const FlowKey& key, const TcpParams& params,
-                Callbacks callbacks);
+  // per flow); the wheel must outlive the connection. `params` is borrowed
+  // and must outlive the connection too (TcpHost interns one copy per
+  // distinct value).
+  TcpConnection(Simulation* sim, TimerWheel* wheel, const FlowKey& key, const TcpParams* params,
+                const Callbacks& callbacks);
   ~TcpConnection();
 
   TcpConnection(const TcpConnection&) = delete;
@@ -153,6 +163,7 @@ class TcpConnection {
   TcpState state() const { return state_; }
   const TcpStats& stats() const { return stats_; }
   const FlowKey& key() const { return key_; }
+  const TcpParams& params() const { return *params_; }
   uint32_t cwnd() const { return cwnd_; }
   uint32_t ssthresh() const { return ssthresh_; }
   SimTime srtt() const { return est_.srtt(); }
@@ -210,10 +221,9 @@ class TcpConnection {
 
   Simulation* sim_;
   FlowKey key_;
-  TcpParams params_;
+  TcpState state_ = TcpState::kClosed;  // fills the 12-byte key_'s tail padding
+  const TcpParams* params_;  // shared: TcpHost interns one copy per value
   Callbacks cb_;
-
-  TcpState state_ = TcpState::kClosed;
 
   // Causal trace flow id for this connection: lazily set to the first
   // segment's packet id and stamped into every later segment's trace_id.

@@ -92,26 +92,37 @@ TcpHost::TcpHost(Simulation* sim, Ipv4Addr addr, std::function<void(PacketPtr)> 
   assert(output_);
 }
 
-bool TcpHost::Listen(uint16_t port, AppHooks hooks, TcpParams params) {
-  auto [it, inserted] = listeners_.emplace(port, Listener{std::move(hooks), params});
-  return inserted;
+bool TcpHost::Listen(uint16_t port, AppHooks hooks, const TcpParams& params) {
+  if (listeners_.contains(port)) {
+    return false;
+  }
+  listeners_.emplace(port, Listener{std::move(hooks), Intern(params)});
+  return true;
 }
 
-TcpConnection* TcpHost::CreateConnection(const FlowKey& key, const TcpParams& params,
-                                         const AppHooks& hooks) {
-  TcpConnection::Callbacks cb;
-  static_cast<AppHooks&>(cb) = hooks;
-  // Forwarding through `this` keeps the per-connection copy inline (no heap
-  // block), whatever the host's own output callable captures.
-  cb.output = [this](PacketPtr p) { output_(std::move(p)); };
-  cb.owner_closed = &TcpHost::ConnClosed;
-  cb.owner_arg = this;
-  return conns_.Insert(key, std::make_unique<TcpConnection>(sim_, &wheel_, key, params,
-                                                            std::move(cb)));
+const TcpParams* TcpHost::Intern(const TcpParams& params) {
+  // Hosts see one or two distinct values, so a linear scan is the lookup.
+  for (const TcpParams& p : interned_params_) {
+    if (p == params) {
+      return &p;
+    }
+  }
+  return &interned_params_.emplace_back(params);
 }
 
-TcpConnection* TcpHost::Connect(Ipv4Addr dst, uint16_t dst_port, AppHooks hooks, TcpParams params,
+TcpConnection* TcpHost::CreateConnection(const FlowKey& key, const TcpParams* params,
+                                         const AppHooks* hooks) {
+  const TcpConnection::Callbacks cb{.hooks = hooks,
+                                    .output = &TcpHost::Output,
+                                    .owner_closed = &TcpHost::ConnClosed,
+                                    .owner_arg = this};
+  return conns_.Insert(key, std::make_unique<TcpConnection>(sim_, &wheel_, key, params, cb));
+}
+
+TcpConnection* TcpHost::Connect(Ipv4Addr dst, uint16_t dst_port, const AppHooks& hooks,
+                                const TcpParams& params,
                                 const std::function<bool(const FlowKey&)>& key_filter) {
+  const TcpParams* interned = Intern(params);
   // Find a free ephemeral port (wraps within the dynamic range) whose flow
   // key passes the filter, if any.
   for (int attempts = 0; attempts < 16384; ++attempts) {
@@ -122,7 +133,7 @@ TcpConnection* TcpHost::Connect(Ipv4Addr dst, uint16_t dst_port, AppHooks hooks,
       continue;
     }
     if (conns_.Find(key) == nullptr) {
-      TcpConnection* conn = CreateConnection(key, params, hooks);
+      TcpConnection* conn = CreateConnection(key, interned, &hooks);
       conn->Connect();
       return conn;
     }
@@ -144,7 +155,7 @@ void TcpHost::OnPacket(const PacketPtr& p) {
   if (p->tcp.syn() && !p->tcp.ack_flag()) {
     auto lit = listeners_.find(p->tcp.dst_port);
     if (lit != listeners_.end()) {
-      TcpConnection* conn = CreateConnection(key, lit->second.params, lit->second.hooks);
+      TcpConnection* conn = CreateConnection(key, lit->second.params, &lit->second.hooks);
       conn->Listen();
       conn->OnSegment(*p);
       return;

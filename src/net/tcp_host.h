@@ -12,8 +12,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/net/packet.h"
@@ -91,19 +93,27 @@ class TcpHost {
   Ipv4Addr addr() const { return addr_; }
 
   // Application hooks for a connection created by Connect or by a listener.
-  // The host hands them to each connection as they are.
+  // Connections never copy them: each one points at a set that outlives it.
   using AppHooks = TcpConnection::AppHooks;
 
-  // Starts accepting connections on `port`. `hooks` apply to every accepted
-  // connection. Returns false if the port is already bound.
-  bool Listen(uint16_t port, AppHooks hooks, TcpParams params = {});
+  // Starts accepting connections on `port`. The host keeps a copy of `hooks`
+  // for as long as it lives, and every accepted connection points at it.
+  // Returns false if the port is already bound.
+  bool Listen(uint16_t port, AppHooks hooks, const TcpParams& params = {});
 
-  // Active open to dst:dst_port from an ephemeral local port. When
-  // `key_filter` is set, only ephemeral ports whose resulting flow key
-  // satisfies it are used — how a sharded stack picks source ports that RSS
-  // back to the issuing shard.
-  TcpConnection* Connect(Ipv4Addr dst, uint16_t dst_port, AppHooks hooks, TcpParams params = {},
+  // Active open to dst:dst_port from an ephemeral local port. The connection
+  // borrows `hooks`: the caller keeps that object alive (and may reassign
+  // its members) for as long as the connection exists. When `key_filter` is
+  // set, only ephemeral ports whose resulting flow key satisfies it are used
+  // — how a sharded stack picks source ports that RSS back to the issuing
+  // shard.
+  TcpConnection* Connect(Ipv4Addr dst, uint16_t dst_port, const AppHooks& hooks,
+                         const TcpParams& params = {},
                          const std::function<bool(const FlowKey&)>& key_filter = {});
+  // A temporary hook set would be gone before the connection's first event.
+  TcpConnection* Connect(Ipv4Addr dst, uint16_t dst_port, AppHooks&& hooks,
+                         const TcpParams& params = {},
+                         const std::function<bool(const FlowKey&)>& key_filter = {}) = delete;
 
   // Input from the wire/stack. Creates a connection on SYN to a bound
   // listener; otherwise demuxes to the matching connection (or drops).
@@ -139,8 +149,8 @@ class TcpHost {
 
  private:
   struct Listener {
-    AppHooks hooks;
-    TcpParams params;
+    AppHooks hooks;  // accepted connections point here
+    const TcpParams* params;
   };
 
   // A connection that reached kClosed: its key, and the pointer it had then
@@ -150,8 +160,13 @@ class TcpHost {
     const TcpConnection* conn;
   };
 
-  TcpConnection* CreateConnection(const FlowKey& key, const TcpParams& params,
-                                  const AppHooks& hooks);
+  TcpConnection* CreateConnection(const FlowKey& key, const TcpParams* params,
+                                  const AppHooks* hooks);
+
+  // The host's copy of `params`, made on the first request for that value.
+  const TcpParams* Intern(const TcpParams& params);
+
+  static void Output(void* arg, PacketPtr p) { static_cast<TcpHost*>(arg)->output_(std::move(p)); }
 
   static void ReapFired(void* arg) { static_cast<TcpHost*>(arg)->ReapClosed(); }
   static void ConnClosed(void* arg, TcpConnection* conn) {
@@ -165,7 +180,10 @@ class TcpHost {
   // wheel in their destructors, so they must be destroyed first.
   TimerWheel wheel_;
   TimerNode reap_node_{&TcpHost::ReapFired, this};
+  // Connections point into both of these, so entries never move: the map's
+  // nodes are stable across rehash, and the list never relocates.
   std::unordered_map<uint16_t, Listener> listeners_;
+  std::list<TcpParams> interned_params_;  // one per distinct value, never erased
   FlowTable conns_;
   std::vector<ClosedEntry> closed_;  // since the last ReapClosed
   uint16_t next_ephemeral_ = 49152;

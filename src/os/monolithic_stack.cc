@@ -166,7 +166,7 @@ void MonolithicStack::HandleSockRequest(const Msg& msg) {
   const SockId id{msg.app, msg.handle};
   switch (msg.type) {
     case MsgType::kSockConnect: {
-      TcpConnection* conn = host_->Connect(msg.addr, msg.port, HooksFor(id), tcp_params_);
+      TcpConnection* conn = host_->Connect(msg.addr, msg.port, connect_hooks_, tcp_params_);
       if (conn != nullptr) {
         by_sock_[id] = conn;
         by_conn_[conn] = id;

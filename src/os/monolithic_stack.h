@@ -90,6 +90,8 @@ class MonolithicStack : public Server {
 
   void QueueEvent(Msg evt);
   void SubmitRequest(Msg msg);
+  // Hooks for sockets of app `id.app`. Only a listener's accepted
+  // connections read `id`; a connecting socket is already in by_conn_.
   TcpHost::AppHooks HooksFor(SockId id);
   void HandleSockRequest(const Msg& msg);
 
@@ -98,6 +100,9 @@ class MonolithicStack : public Server {
   TcpParams tcp_params_;
   Nic* nic_;
 
+  // Every active open borrows this one set (declared before host_, which
+  // holds the connections that point at it).
+  TcpHost::AppHooks connect_hooks_ = HooksFor(SockId{});
   std::unique_ptr<TcpHost> host_;
   RingDeque<PacketPtr> pending_tx_;
   RingDeque<Msg> pending_evt_;

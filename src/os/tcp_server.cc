@@ -159,7 +159,7 @@ void TcpServer::HandleSockRequest(const Msg& msg) {
           return SymmetricFlowHash(key) % shard_count_ == shard_index_;
         };
       }
-      TcpConnection* conn = host_->Connect(msg.addr, msg.port, HooksFor(id), tcp_params_, filter);
+      TcpConnection* conn = host_->Connect(msg.addr, msg.port, connect_hooks_, tcp_params_, filter);
       if (conn != nullptr) {
         by_sock_[id] = conn;
         by_conn_[conn] = id;

@@ -96,6 +96,8 @@ class TcpServer : public Server {
   };
 
   void MakeHost();
+  // Hooks for sockets of app `id.app`. Only a listener's accepted
+  // connections read `id`; a connecting socket is already in by_conn_.
   TcpHost::AppHooks HooksFor(SockId id);
   void QueueEvent(Msg evt);
   void HandleSockRequest(const Msg& msg);
@@ -107,6 +109,9 @@ class TcpServer : public Server {
   Chan* app_in_ = nullptr;
   Chan* ip_tx_ = nullptr;
 
+  // Every active open borrows this one set (declared before host_, which
+  // holds the connections that point at it).
+  TcpHost::AppHooks connect_hooks_ = HooksFor(SockId{});
   std::unique_ptr<TcpHost> host_;
   RingDeque<PacketPtr> pending_tx_;
   RingDeque<Msg> pending_evt_;

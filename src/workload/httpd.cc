@@ -54,25 +54,12 @@ void HttpServerApp::OnEvent(const Msg& m) {
 // --- HttpPeerClient ---
 
 HttpPeerClient::HttpPeerClient(PeerHost* peer, Ipv4Addr sut, const HttpParams& params)
-    : peer_(peer), sut_(sut), params_(params) {}
-
-void HttpPeerClient::Start() {
-  for (int i = 0; i < params_.concurrency; ++i) {
-    OpenConnection();
-  }
-}
-
-void HttpPeerClient::OpenConnection() {
-  ++connections_opened_;
-  if (!params_.keep_alive && connections_opened_ % 64 == 0) {
-    peer_->tcp().ReapClosed();  // periodic TIME_WAIT garbage collection
-  }
-  TcpHost::AppHooks hooks;
-  hooks.on_established = [this](TcpConnection* c) {
+    : peer_(peer), sut_(sut), params_(params) {
+  hooks_.on_established = [this](TcpConnection* c) {
     conns_[c] = ConnState{};
     SendRequest(c);
   };
-  hooks.on_data = [this](TcpConnection* c, uint32_t bytes) {
+  hooks_.on_data = [this](TcpConnection* c, uint32_t bytes) {
     auto it = conns_.find(c);
     if (it == conns_.end()) {
       return;
@@ -97,8 +84,21 @@ void HttpPeerClient::OpenConnection() {
       }
     }
   };
-  hooks.on_closed = [this](TcpConnection* c) { conns_.erase(c); };
-  peer_->tcp().Connect(sut_, params_.port, hooks, peer_->tcp_params());
+  hooks_.on_closed = [this](TcpConnection* c) { conns_.erase(c); };
+}
+
+void HttpPeerClient::Start() {
+  for (int i = 0; i < params_.concurrency; ++i) {
+    OpenConnection();
+  }
+}
+
+void HttpPeerClient::OpenConnection() {
+  ++connections_opened_;
+  if (!params_.keep_alive && connections_opened_ % 64 == 0) {
+    peer_->tcp().ReapClosed();  // periodic TIME_WAIT garbage collection
+  }
+  peer_->tcp().Connect(sut_, params_.port, hooks_, peer_->tcp_params());
 }
 
 void HttpPeerClient::SendRequest(TcpConnection* c) {

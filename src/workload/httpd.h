@@ -85,6 +85,7 @@ class HttpPeerClient {
   PeerHost* peer_;
   Ipv4Addr sut_;
   HttpParams params_;
+  TcpHost::AppHooks hooks_;  // shared by every connection OpenConnection opens
   std::unordered_map<TcpConnection*, ConnState> conns_;
   uint64_t responses_ = 0;
   uint64_t connections_opened_ = 0;

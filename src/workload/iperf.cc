@@ -53,17 +53,16 @@ IperfPeerSender::IperfPeerSender(PeerHost* peer, const Params& params)
     : peer_(peer), params_(params) {}
 
 void IperfPeerSender::Start() {
+  hooks_.on_established = [this](TcpConnection* c) {
+    c->Send(params_.burst_bytes);
+    bytes_submitted_ += params_.burst_bytes;
+  };
+  hooks_.on_drained = [this](TcpConnection* c) {
+    c->Send(params_.burst_bytes);
+    bytes_submitted_ += params_.burst_bytes;
+  };
   for (int i = 0; i < params_.connections; ++i) {
-    TcpHost::AppHooks hooks;
-    hooks.on_established = [this](TcpConnection* c) {
-      c->Send(params_.burst_bytes);
-      bytes_submitted_ += params_.burst_bytes;
-    };
-    hooks.on_drained = [this](TcpConnection* c) {
-      c->Send(params_.burst_bytes);
-      bytes_submitted_ += params_.burst_bytes;
-    };
-    peer_->tcp().Connect(params_.sut, params_.port, hooks, peer_->tcp_params());
+    peer_->tcp().Connect(params_.sut, params_.port, hooks_, peer_->tcp_params());
   }
 }
 

@@ -77,6 +77,7 @@ class IperfPeerSender {
  private:
   PeerHost* peer_;
   Params params_;
+  TcpHost::AppHooks hooks_;  // shared by every connection Start opens
   uint64_t bytes_submitted_ = 0;
 };
 

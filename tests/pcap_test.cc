@@ -28,7 +28,12 @@ uint32_t Le32(const std::vector<uint8_t>& b, size_t at) {
 
 class PcapTest : public ::testing::Test {
  protected:
-  void SetUp() override { path_ = ::testing::TempDir() + "/newtos_capture.pcap"; }
+  // One file per test: ctest -j runs these cases as separate processes at
+  // once, and a shared path let one case read another's capture.
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/newtos_capture_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".pcap";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
 };

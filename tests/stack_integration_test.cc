@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/steering.h"
 #include "src/core/testbed.h"
 #include "src/workload/httpd.h"
@@ -208,6 +210,48 @@ TEST(StackIntegration, MultipleConcurrentAppsShareTheStack) {
   tb.sim().RunFor(300 * kMillisecond);
   EXPECT_GT(client.responses(), 100u);
   EXPECT_GT(sink.total_bytes(), 0u);
+}
+
+// The TCP server gives each listener its own hook set (it names the app that
+// accepts) but lends one shared set to every active open. Two apps that each
+// listen on their own port and each open one connection must still see only
+// their own events.
+TEST(StackIntegration, TcpServerRoutesEventsPerAppWithSharedConnectHooks) {
+  Testbed tb(DefaultOptions());
+  constexpr uint16_t kAppPorts[2] = {7000, 8000};
+  constexpr uint16_t kPeerPort = 9000;
+  struct Seen {
+    std::vector<uint16_t> accepted_ports;
+    std::vector<uint64_t> established_handles;
+  };
+  Seen seen[2];
+  SocketApi* apis[2] = {tb.stack()->CreateApp("a", tb.machine().core(0)),
+                        tb.stack()->CreateApp("b", tb.machine().core(4))};
+  for (int i = 0; i < 2; ++i) {
+    apis[i]->SetEventHandler([&seen, i](const Msg& m) {
+      if (m.type == MsgType::kEvtAccepted) {
+        seen[i].accepted_ports.push_back(m.port);
+      } else if (m.type == MsgType::kEvtEstablished) {
+        seen[i].established_handles.push_back(m.handle);
+      }
+    });
+    apis[i]->Listen(kAppPorts[i]);
+  }
+  const TcpHost::AppHooks peer_hooks;
+  tb.peer().tcp().Listen(kPeerPort, peer_hooks, tb.peer().tcp_params());
+  tb.sim().RunFor(1 * kMillisecond);
+
+  uint64_t handles[2];
+  for (int i = 0; i < 2; ++i) {
+    tb.peer().tcp().Connect(tb.sut_addr(), kAppPorts[i], peer_hooks, tb.peer().tcp_params());
+    handles[i] = apis[i]->Connect(tb.peer_addr(), kPeerPort);
+  }
+  tb.sim().RunFor(20 * kMillisecond);
+
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(seen[i].accepted_ports, std::vector<uint16_t>{kAppPorts[i]}) << "app " << i;
+    EXPECT_EQ(seen[i].established_handles, std::vector<uint64_t>{handles[i]}) << "app " << i;
+  }
 }
 
 TEST(StackIntegration, DeterministicEndToEnd) {

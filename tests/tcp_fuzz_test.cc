@@ -33,14 +33,21 @@ class AdversarialPair {
  public:
   explicit AdversarialPair(const FuzzConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
     const FlowKey key{Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 40000, 80};
-    TcpParams params;
-    params.sack = cfg.sack;
-    TcpConnection::Callbacks ca;
-    ca.output = [this](PacketPtr p) { Wire(std::move(p), /*to_server=*/true); };
-    client_ = std::make_unique<TcpConnection>(&sim_, &wheel_, key, params, std::move(ca));
-    TcpConnection::Callbacks cb;
-    cb.output = [this](PacketPtr p) { Wire(std::move(p), /*to_server=*/false); };
-    server_ = std::make_unique<TcpConnection>(&sim_, &wheel_, key.Reversed(), params, std::move(cb));
+    params_.sack = cfg.sack;
+    const TcpConnection::Callbacks ca{
+        .hooks = &no_hooks_,
+        .output = [](void* self, PacketPtr p) {
+          static_cast<AdversarialPair*>(self)->Wire(std::move(p), /*to_server=*/true);
+        },
+        .owner_arg = this};
+    client_ = std::make_unique<TcpConnection>(&sim_, &wheel_, key, &params_, ca);
+    const TcpConnection::Callbacks cb{
+        .hooks = &no_hooks_,
+        .output = [](void* self, PacketPtr p) {
+          static_cast<AdversarialPair*>(self)->Wire(std::move(p), /*to_server=*/false);
+        },
+        .owner_arg = this};
+    server_ = std::make_unique<TcpConnection>(&sim_, &wheel_, key.Reversed(), &params_, cb);
     server_->Listen();
   }
 
@@ -72,6 +79,8 @@ class AdversarialPair {
   TimerWheel wheel_{&sim_};  // before the connections: they cancel into it on destruction
   FuzzConfig cfg_;
   Rng rng_;
+  TcpParams params_;  // borrowed by both connections
+  TcpConnection::AppHooks no_hooks_;
   std::unique_ptr<TcpConnection> client_;
   std::unique_ptr<TcpConnection> server_;
 };

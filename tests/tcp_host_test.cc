@@ -17,6 +17,20 @@
 namespace newtos {
 namespace {
 
+// Connect borrows its hooks, so it must refuse a temporary: the set would be
+// gone before the connection's first event. An lvalue is accepted (the
+// control that keeps the first check from passing vacuously).
+template <typename Host>
+concept ConnectTakesTemporaryHooks = requires(Host& host) {
+  host.Connect(Ipv4Addr{}, uint16_t{80}, typename Host::AppHooks{});
+};
+template <typename Host>
+concept ConnectTakesLvalueHooks = requires(Host& host, typename Host::AppHooks& hooks) {
+  host.Connect(Ipv4Addr{}, uint16_t{80}, hooks);
+};
+static_assert(!ConnectTakesTemporaryHooks<TcpHost>);
+static_assert(ConnectTakesLvalueHooks<TcpHost>);
+
 class TcpHostTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -31,6 +45,7 @@ class TcpHostTest : public ::testing::Test {
   }
 
   Simulation sim_;
+  TcpHost::AppHooks no_hooks_;  // outlives the hosts' connections
   std::unique_ptr<TcpHost> a_;
   std::unique_ptr<TcpHost> b_;
 };
@@ -41,7 +56,7 @@ TEST_F(TcpHostTest, ListenAcceptsIncomingSyn) {
   hooks.on_established = [&](TcpConnection*) { ++accepted; };
   ASSERT_TRUE(b_->Listen(80, hooks));
 
-  TcpConnection* c = a_->Connect(b_->addr(), 80, {});
+  TcpConnection* c = a_->Connect(b_->addr(), 80, no_hooks_);
   ASSERT_NE(c, nullptr);
   sim_.RunFor(10 * kMillisecond);
   EXPECT_EQ(accepted, 1);
@@ -56,7 +71,7 @@ TEST_F(TcpHostTest, DoubleListenRejected) {
 }
 
 TEST_F(TcpHostTest, SynToUnboundPortIsDropped) {
-  TcpConnection* c = a_->Connect(b_->addr(), 9999, {});
+  TcpConnection* c = a_->Connect(b_->addr(), 9999, no_hooks_);
   sim_.RunFor(50 * kMillisecond);
   EXPECT_NE(c->state(), TcpState::kEstablished);
   EXPECT_GT(b_->dropped_no_match(), 0u);
@@ -64,8 +79,8 @@ TEST_F(TcpHostTest, SynToUnboundPortIsDropped) {
 
 TEST_F(TcpHostTest, EphemeralPortsAreDistinct) {
   b_->Listen(80, {});
-  TcpConnection* c1 = a_->Connect(b_->addr(), 80, {});
-  TcpConnection* c2 = a_->Connect(b_->addr(), 80, {});
+  TcpConnection* c1 = a_->Connect(b_->addr(), 80, no_hooks_);
+  TcpConnection* c2 = a_->Connect(b_->addr(), 80, no_hooks_);
   ASSERT_NE(c1, nullptr);
   ASSERT_NE(c2, nullptr);
   EXPECT_NE(c1->key().src_port, c2->key().src_port);
@@ -85,8 +100,8 @@ TEST_F(TcpHostTest, DataFlowsToTheRightConnection) {
     }
   };
   b_->Listen(80, hooks);
-  TcpConnection* c1 = a_->Connect(b_->addr(), 80, {});
-  TcpConnection* c2 = a_->Connect(b_->addr(), 80, {});
+  TcpConnection* c1 = a_->Connect(b_->addr(), 80, no_hooks_);
+  TcpConnection* c2 = a_->Connect(b_->addr(), 80, no_hooks_);
   sim_.RunFor(10 * kMillisecond);
   c1->Send(1000);
   c2->Send(3000);
@@ -97,7 +112,7 @@ TEST_F(TcpHostTest, DataFlowsToTheRightConnection) {
 
 TEST_F(TcpHostTest, ReapClosedRemovesDeadConnections) {
   b_->Listen(80, {});
-  TcpConnection* c = a_->Connect(b_->addr(), 80, {});
+  TcpConnection* c = a_->Connect(b_->addr(), 80, no_hooks_);
   sim_.RunFor(10 * kMillisecond);
   ASSERT_EQ(c->state(), TcpState::kEstablished);
   c->CloseSend();
@@ -118,11 +133,69 @@ TEST_F(TcpHostTest, OnClosedHookFires) {
   TcpHost::AppHooks hooks;
   hooks.on_closed = [&](TcpConnection*) { ++closed; };
   b_->Listen(80, hooks);
-  TcpConnection* c = a_->Connect(b_->addr(), 80, {});
+  TcpConnection* c = a_->Connect(b_->addr(), 80, no_hooks_);
   sim_.RunFor(10 * kMillisecond);
   c->Abort();
   sim_.RunFor(10 * kMillisecond);
   EXPECT_EQ(closed, 1);
+}
+
+TEST_F(TcpHostTest, ConnectBorrowsTheCallersHooks) {
+  ASSERT_TRUE(b_->Listen(80, no_hooks_));
+  int at_connect = 0;
+  int reassigned = 0;
+  TcpHost::AppHooks hooks;
+  hooks.on_established = [&](TcpConnection*) { ++at_connect; };
+  TcpConnection* c = a_->Connect(b_->addr(), 80, hooks);
+  ASSERT_NE(c, nullptr);
+  // The handshake has not completed yet: the connection must call the
+  // caller's object as it is now, not a copy taken at Connect.
+  hooks.on_established = [&](TcpConnection*) { ++reassigned; };
+  sim_.RunFor(10 * kMillisecond);
+  ASSERT_EQ(c->state(), TcpState::kEstablished);
+  EXPECT_EQ(at_connect, 0);
+  EXPECT_EQ(reassigned, 1);
+}
+
+TEST_F(TcpHostTest, ParamsAreInternedPerDistinctValue) {
+  TcpParams sack;
+  sack.sack = true;
+  sack.mss = 1000;
+  ASSERT_TRUE(b_->Listen(80, no_hooks_));
+  ASSERT_TRUE(b_->Listen(81, no_hooks_, sack));
+  TcpConnection* plain = a_->Connect(b_->addr(), 80, no_hooks_);
+  TcpConnection* selective = a_->Connect(b_->addr(), 81, no_hooks_, sack);
+  TcpConnection* plain2 = a_->Connect(b_->addr(), 80, no_hooks_, TcpParams{});
+  TcpConnection* selective2 = a_->Connect(b_->addr(), 81, no_hooks_, sack);
+
+  // Each connection keeps its own value; equal values share one copy.
+  EXPECT_FALSE(plain->params().sack);
+  EXPECT_EQ(plain->params().mss, 1460u);
+  EXPECT_TRUE(selective->params().sack);
+  EXPECT_EQ(selective->params().mss, 1000u);
+  EXPECT_EQ(&plain->params(), &plain2->params());
+  EXPECT_EQ(&selective->params(), &selective2->params());
+  EXPECT_NE(&plain->params(), &selective->params());
+
+  sim_.RunFor(10 * kMillisecond);
+  // Accepted connections share their listener's copy.
+  std::vector<const TcpParams*> accepted;
+  for (TcpConnection* bc : b_->Connections()) {
+    ASSERT_EQ(bc->state(), TcpState::kEstablished);
+    accepted.push_back(&bc->params());
+  }
+  std::sort(accepted.begin(), accepted.end());
+  EXPECT_EQ(std::unique(accepted.begin(), accepted.end()) - accepted.begin(), 2);
+
+  // And each segments its data at its own MSS: 10000 B is 7 segments at
+  // 1460 B and 10 at 1000 B.
+  const uint64_t plain_segs = plain->stats().segs_sent;
+  const uint64_t selective_segs = selective->stats().segs_sent;
+  plain->Send(10'000);
+  selective->Send(10'000);
+  sim_.RunFor(10 * kMillisecond);
+  EXPECT_EQ(plain->stats().segs_sent - plain_segs, 7u);
+  EXPECT_EQ(selective->stats().segs_sent - selective_segs, 10u);
 }
 
 TEST_F(TcpHostTest, ManyConcurrentConnections) {
@@ -132,7 +205,7 @@ TEST_F(TcpHostTest, ManyConcurrentConnections) {
   b_->Listen(80, hooks);
   std::vector<TcpConnection*> conns;
   for (int i = 0; i < 50; ++i) {
-    conns.push_back(a_->Connect(b_->addr(), 80, {}));
+    conns.push_back(a_->Connect(b_->addr(), 80, no_hooks_));
   }
   sim_.RunFor(50 * kMillisecond);
   for (TcpConnection* c : conns) {
@@ -149,9 +222,8 @@ TEST_F(TcpHostTest, ManyConcurrentConnections) {
 class FlowTableTest : public ::testing::Test {
  protected:
   std::unique_ptr<TcpConnection> Make(const FlowKey& key) {
-    TcpConnection::Callbacks cb;
-    cb.output = [](PacketPtr) {};
-    return std::make_unique<TcpConnection>(&sim_, &wheel_, key, TcpParams{}, std::move(cb));
+    const TcpConnection::Callbacks cb{.hooks = &no_hooks_, .output = [](void*, PacketPtr) {}};
+    return std::make_unique<TcpConnection>(&sim_, &wheel_, key, &params_, cb);
   }
 
   // The next key (by source port) whose probe run starts at `home`.
@@ -166,6 +238,8 @@ class FlowTableTest : public ::testing::Test {
 
   Simulation sim_;
   TimerWheel wheel_{&sim_};  // before any table: connections cancel into it
+  TcpParams params_;
+  TcpConnection::AppHooks no_hooks_;
   uint16_t next_port_ = 1;
 };
 
@@ -256,13 +330,14 @@ TEST_F(FlowTableTest, GrowsAcrossRehashesAndNeverShrinks) {
 class ReapTest : public ::testing::Test {
  protected:
   Simulation sim_;
+  TcpHost::AppHooks no_hooks_;  // outlives host_'s connections
   TcpHost host_{&sim_, Ipv4(10, 0, 0, 1), [](PacketPtr) {}};
 };
 
 TEST_F(ReapTest, ReturnsHowManyItRemoved) {
   std::vector<TcpConnection*> conns;
   for (int i = 0; i < 5; ++i) {
-    conns.push_back(host_.Connect(Ipv4(10, 0, 0, 2), 80, {}));
+    conns.push_back(host_.Connect(Ipv4(10, 0, 0, 2), 80, no_hooks_));
   }
   EXPECT_EQ(host_.ReapClosed(), 0u);
   for (int i = 0; i < 3; ++i) {
@@ -286,7 +361,7 @@ TEST_F(ReapTest, DestroyedConnectionIsNeverTouched) {
   const auto only_port = [](uint16_t port) {
     return [port](const FlowKey& k) { return k.src_port == port; };
   };
-  TcpConnection* old = host_.Connect(Ipv4(10, 0, 0, 2), 80, {}, {}, only_port(50000));
+  TcpConnection* old = host_.Connect(Ipv4(10, 0, 0, 2), 80, no_hooks_, {}, only_port(50000));
   ASSERT_NE(old, nullptr);
   const FlowKey key = old->key();
   old->Abort();
@@ -294,10 +369,10 @@ TEST_F(ReapTest, DestroyedConnectionIsNeverTouched) {
   EXPECT_EQ(host_.Find(key), nullptr);
   EXPECT_EQ(host_.ReapClosed(), 0u);
 
-  old = host_.Connect(Ipv4(10, 0, 0, 2), 80, {}, {}, only_port(50000));
+  old = host_.Connect(Ipv4(10, 0, 0, 2), 80, no_hooks_, {}, only_port(50000));
   old->Abort();
   host_.Destroy(old);
-  TcpConnection* fresh = host_.Connect(Ipv4(10, 0, 0, 2), 80, {}, {}, only_port(50000));
+  TcpConnection* fresh = host_.Connect(Ipv4(10, 0, 0, 2), 80, no_hooks_, {}, only_port(50000));
   ASSERT_NE(fresh, nullptr);
   ASSERT_EQ(fresh->key(), key);
   EXPECT_EQ(host_.ReapClosed(), 0u);  // the listed entry is stale; fresh is open
@@ -361,7 +436,7 @@ TEST_F(ReapTest, MatchesUnorderedMapReference) {
     const Ipv4Addr dst = Ipv4(10, 0, 1, static_cast<uint8_t>(rng.UniformInt(1, 4)));
     const uint16_t dst_port = static_cast<uint16_t>(80 + rng.UniformInt(0, 3));
     if (r < open_share) {
-      TcpConnection* c = host_.Connect(dst, dst_port, {});
+      TcpConnection* c = host_.Connect(dst, dst_port, no_hooks_);
       ASSERT_NE(c, nullptr);
       ASSERT_EQ(ref.count(c->key()), 0u) << "Connect reused a key the table holds";
       ref.emplace(c->key(), Ref{c, false, keys.size()});

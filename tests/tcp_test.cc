@@ -31,16 +31,21 @@ class TcpPairTest : public ::testing::Test {
   void Build(TcpParams params = {}) {
     params_ = params;
     const FlowKey client_key{kClientIp, kServerIp, kClientPort, kServerPort};
-    TcpConnection::Callbacks ca;
-    static_cast<TcpConnection::AppHooks&>(ca) = client_hooks_;
-    ca.output = [this](PacketPtr p) { Deliver(std::move(p), /*to_server=*/true); };
-    client_ = std::make_unique<TcpConnection>(&sim_, &wheel_, client_key, params_, std::move(ca));
+    const TcpConnection::Callbacks ca{
+        .hooks = &client_hooks_,
+        .output = [](void* self, PacketPtr p) {
+          static_cast<TcpPairTest*>(self)->Deliver(std::move(p), /*to_server=*/true);
+        },
+        .owner_arg = this};
+    client_ = std::make_unique<TcpConnection>(&sim_, &wheel_, client_key, &params_, ca);
 
-    TcpConnection::Callbacks cb;
-    static_cast<TcpConnection::AppHooks&>(cb) = server_hooks_;
-    cb.output = [this](PacketPtr p) { Deliver(std::move(p), /*to_server=*/false); };
-    server_ = std::make_unique<TcpConnection>(&sim_, &wheel_, client_key.Reversed(), params_,
-                                              std::move(cb));
+    const TcpConnection::Callbacks cb{
+        .hooks = &server_hooks_,
+        .output = [](void* self, PacketPtr p) {
+          static_cast<TcpPairTest*>(self)->Deliver(std::move(p), /*to_server=*/false);
+        },
+        .owner_arg = this};
+    server_ = std::make_unique<TcpConnection>(&sim_, &wheel_, client_key.Reversed(), &params_, cb);
     server_->Listen();
   }
 
@@ -61,8 +66,8 @@ class TcpPairTest : public ::testing::Test {
   Simulation sim_;
   TimerWheel wheel_{&sim_};  // before the connections: they cancel into it on destruction
   TcpParams params_;
-  TcpConnection::AppHooks client_hooks_;  // set before Build()
-  TcpConnection::AppHooks server_hooks_;
+  TcpConnection::AppHooks client_hooks_;  // borrowed by client_
+  TcpConnection::AppHooks server_hooks_;  // borrowed by server_
   std::unique_ptr<TcpConnection> client_;
   std::unique_ptr<TcpConnection> server_;
   SimTime wire_delay_ = 50 * kMicrosecond;
@@ -421,12 +426,15 @@ TEST_F(TcpPairTest, DeterministicAcrossRuns) {
     };
     static TcpConnection* a_raw;
     static TcpConnection* b_raw;
-    TcpConnection::Callbacks ca;
-    ca.output = [&wire](PacketPtr p) { wire(std::move(p), &b_raw); };
-    TcpConnection::Callbacks cb;
-    cb.output = [&wire](PacketPtr p) { wire(std::move(p), &a_raw); };
-    a = std::make_unique<TcpConnection>(&sim, &wheel, key, params, std::move(ca));
-    b = std::make_unique<TcpConnection>(&sim, &wheel, key.Reversed(), params, std::move(cb));
+    using Send = std::function<void(PacketPtr)>;
+    Send to_b = [&wire](PacketPtr p) { wire(std::move(p), &b_raw); };
+    Send to_a = [&wire](PacketPtr p) { wire(std::move(p), &a_raw); };
+    const auto forward = [](void* send, PacketPtr p) { (*static_cast<Send*>(send))(std::move(p)); };
+    const TcpConnection::AppHooks no_hooks;
+    const TcpConnection::Callbacks ca{.hooks = &no_hooks, .output = forward, .owner_arg = &to_b};
+    const TcpConnection::Callbacks cb{.hooks = &no_hooks, .output = forward, .owner_arg = &to_a};
+    a = std::make_unique<TcpConnection>(&sim, &wheel, key, &params, ca);
+    b = std::make_unique<TcpConnection>(&sim, &wheel, key.Reversed(), &params, cb);
     a_raw = a.get();
     b_raw = b.get();
     b->Listen();
@@ -481,17 +489,20 @@ TEST(TcpConnectionOwnerHook, FiresOnceBeforeOnClosed) {
     int owner_calls = 0;
     bool owner_first = false;
   } log;
-  TcpConnection::Callbacks cb;
-  cb.output = [](PacketPtr) {};
-  cb.owner_closed = [](void* arg, TcpConnection* conn) {
-    auto* l = static_cast<Log*>(arg);
-    l->owner_saw = conn;
-    ++l->owner_calls;
-  };
-  cb.owner_arg = &log;
-  cb.on_closed = [&log](TcpConnection*) { log.owner_first = log.owner_calls == 1; };
+  TcpConnection::AppHooks hooks;
+  hooks.on_closed = [&log](TcpConnection*) { log.owner_first = log.owner_calls == 1; };
+  const TcpConnection::Callbacks cb{.hooks = &hooks,
+                                    .output = [](void*, PacketPtr) {},
+                                    .owner_closed =
+                                        [](void* arg, TcpConnection* conn) {
+                                          auto* l = static_cast<Log*>(arg);
+                                          l->owner_saw = conn;
+                                          ++l->owner_calls;
+                                        },
+                                    .owner_arg = &log};
+  const TcpParams params;
   const FlowKey key{kClientIp, kServerIp, kClientPort, kServerPort};
-  TcpConnection conn(&sim, &wheel, key, TcpParams{}, std::move(cb));
+  TcpConnection conn(&sim, &wheel, key, &params, cb);
   conn.Connect();
   conn.Abort();
   conn.Abort();  // already closed: no second notification
