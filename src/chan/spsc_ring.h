@@ -35,11 +35,11 @@
 
 namespace newtos {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr size_t kCacheLineBytes = std::hardware_destructive_interference_size;
-#else
+// Pinned rather than std::hardware_destructive_interference_size: that
+// value may change with -mtune, and with it the ring layout, so g++ warns
+// on every use in a header. 64 is the x86-64 line size and the value g++
+// reports there, so the layout is the same either way.
 inline constexpr size_t kCacheLineBytes = 64;
-#endif
 
 #if NEWTOS_CHECKERS
 // The calling thread's SPSC identity token — the value the ring's first-touch

@@ -1,89 +1,8 @@
 #include "src/metrics/report.h"
 
-#include <cstdio>
 #include <fstream>
 
 namespace newtos {
-namespace {
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void JsonWriter::Add(std::string_view key, std::string rendered) {
-  fields_.emplace_back(std::string(key), std::move(rendered));
-}
-
-JsonWriter& JsonWriter::Str(std::string_view key, std::string_view value) {
-  Add(key, "\"" + JsonEscape(value) + "\"");
-  return *this;
-}
-
-JsonWriter& JsonWriter::Int(std::string_view key, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  Add(key, buf);
-  return *this;
-}
-
-JsonWriter& JsonWriter::Uint(std::string_view key, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  Add(key, buf);
-  return *this;
-}
-
-JsonWriter& JsonWriter::Num(std::string_view key, double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  Add(key, buf);
-  return *this;
-}
-
-JsonWriter& JsonWriter::Bool(std::string_view key, bool v) {
-  Add(key, v ? "true" : "false");
-  return *this;
-}
-
-JsonWriter& JsonWriter::Raw(std::string_view key, std::string_view json) {
-  Add(key, std::string(json));
-  return *this;
-}
-
-std::string JsonWriter::Finish() const {
-  std::string out = "{\n";
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    out += "  \"" + JsonEscape(fields_[i].first) + "\": " + fields_[i].second;
-    if (i + 1 < fields_.size()) {
-      out += ',';
-    }
-    out += '\n';
-  }
-  out += "}\n";
-  return out;
-}
 
 bool WriteFileChecked(const std::string& path, std::string_view contents) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);

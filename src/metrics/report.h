@@ -1,43 +1,16 @@
-// Shared result-file writers for benches and exporters.
+// Shared result-file writer for benches and exporters.
 //
-// Every bench used to hand-roll its fprintf JSON and its ofstream CSV dump;
-// this header is the single place that knows how to (a) format a flat JSON
-// report deterministically and (b) write a file with an error-checked flush,
-// so a full disk or an unwritable path fails the bench instead of silently
-// producing a truncated result file.
+// Writes a file with an error-checked flush, so a full disk or an unwritable
+// path fails the bench instead of silently producing a truncated result
+// file.
 
 #ifndef SRC_METRICS_REPORT_H_
 #define SRC_METRICS_REPORT_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace newtos {
-
-// Builds a JSON object field by field, in insertion order, with fixed
-// numeric formatting (printf-style, locale-independent) so two identical
-// runs produce byte-identical reports.
-class JsonWriter {
- public:
-  JsonWriter& Str(std::string_view key, std::string_view value);
-  JsonWriter& Int(std::string_view key, int64_t v);
-  JsonWriter& Uint(std::string_view key, uint64_t v);
-  JsonWriter& Num(std::string_view key, double v, int precision);
-  JsonWriter& Bool(std::string_view key, bool v);
-  // Escape hatch for a nested object/array: `json` is emitted verbatim.
-  JsonWriter& Raw(std::string_view key, std::string_view json);
-
-  // Renders "{\n  "k": v,\n  ...\n}\n".
-  std::string Finish() const;
-
- private:
-  void Add(std::string_view key, std::string rendered);
-
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 // Writes `contents` to `path`, replacing any existing file. Returns false on
 // any I/O failure — open, write, or the final flush.

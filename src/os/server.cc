@@ -173,7 +173,7 @@ void Server::MaybeSchedule() {
 #if NEWTOS_CHECKERS
     // Handle() pushes into downstream rings: the producer identity of every
     // Emit in this burst is this server.
-    ChannelChecker::ScopedActor check_scope(check_, check_actor_);
+    ChannelChecker::ScopedActor burst_scope(check_, check_actor_);
 #endif
     // Swap into the scratch buffer before handling: a crash inside Handle()
     // clears batch_ but must not disturb the burst being iterated.

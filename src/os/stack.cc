@@ -1,6 +1,8 @@
 #include "src/os/stack.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/net/packet_pool.h"
 
@@ -88,14 +90,20 @@ SocketApi* MultiserverStack::CreateApp(const std::string& name, Core* core) {
   app->BindCore(core);
   if (config_.use_syscall_gateway) {
     // app -> gateway -> tcp shard; events come back shard -> gateway -> app.
-    // Registration order keeps every shard's app index aligned with the
-    // gateway's.
-    uint32_t id = 0;
-    for (auto& shard : tcps_) {
-      id = shard->RegisterApp(syscall_->evt_in());
-    }
+    // Requests reach every shard under the gateway's app id, so each shard
+    // must register the app under that same id. A shard that drifted would
+    // route socket events to another app, so this stops in every build.
     const uint32_t gw_id = syscall_->MapApp(app->events());
-    assert(id == gw_id && "gateway/TCP app ids must stay aligned");
+    for (size_t s = 0; s < tcps_.size(); ++s) {
+      const uint32_t id = tcps_[s]->RegisterApp(syscall_->evt_in());
+      if (id != gw_id) {
+        std::fprintf(stderr,
+                     "CreateApp(%s): tcp shard %zu registered app id %u, the gateway %u; "
+                     "gateway/TCP app ids must stay aligned\n",
+                     name.c_str(), s, id, gw_id);
+        std::abort();
+      }
+    }
     app->set_app_id(gw_id);
     app->set_request_out(syscall_->req_in());
   } else {

@@ -551,15 +551,7 @@ LiveStackResult RunLiveFig2(const LiveStackConfig& config) {
     if (!config.pin_threads) {
       return -1;
     }
-    const int cpu = config.first_cpu + static_cast<int>(i);
-    // A pin budget below the role count means the surplus roles float (the
-    // scheduler timeslices them) rather than aliasing onto already-taken
-    // cores — modulo-pinning two servers to one core is strictly worse than
-    // letting the kernel balance them.
-    if (config.pin_cpu_limit >= 0 && cpu >= config.pin_cpu_limit) {
-      return -1;
-    }
-    return cpu;
+    return config.first_cpu + static_cast<int>(i);
   };
 
   std::vector<ServerContext*> ctxs;

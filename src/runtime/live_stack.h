@@ -111,9 +111,6 @@ struct LiveStackConfig {
   bool mini = false;                  // 3-server stack (app, tcp, peer)
   bool pin_threads = true;            // role i -> cpu first_cpu + i, if it exists
   int first_cpu = 0;
-  // Pin budget for core sweeps: roles whose cpu would be >= the limit run
-  // unpinned instead (never aliased onto a taken core). -1 = no limit.
-  int pin_cpu_limit = -1;
   RuntimePollPolicy poll;
   bool verify_payload = true;         // peer checks every byte vs the pattern
   bool enable_trace = false;          // per-thread recorders, e2e async hops

@@ -6,63 +6,17 @@
 // params, and reach the host through plain function pointers, so nothing
 // else may allocate per connection, and the object holds only its own state.
 //
-// A counting global allocator (same pattern as bench/perf_engine.cc) does
-// the measuring, so this binary is built only without sanitizers.
+// The counting global allocator of src/check/alloc_counter.h does the
+// measuring, so this binary is built only without sanitizers.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "src/check/alloc_counter.h"
 #include "src/net/tcp_host.h"
 #include "src/sim/simulation.h"
-
-namespace {
-
-std::atomic<uint64_t> g_allocs{0};
-std::atomic<uint64_t> g_alloc_bytes{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAllocAligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(align, (size + align - 1) / align * align);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace newtos {
 namespace {
@@ -130,11 +84,11 @@ TEST(TcpHostAllocGate, SteadyCycleAllocatesOnlyTheConnections) {
     ASSERT_EQ(pair.Cycle(kFlowsPerCycle), 2u * kFlowsPerCycle);
   }
   const uint64_t closed0 = pair.closed();
-  const uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  const uint64_t bytes0 = g_alloc_bytes.load(std::memory_order_relaxed);
+  const uint64_t allocs0 = AllocCount();
+  const uint64_t bytes0 = AllocBytes();
   const size_t reaped = pair.Cycle(kFlowsPerCycle);
-  const uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
-  const uint64_t bytes = g_alloc_bytes.load(std::memory_order_relaxed) - bytes0;
+  const uint64_t allocs = AllocCount() - allocs0;
+  const uint64_t bytes = AllocBytes() - bytes0;
   ASSERT_EQ(reaped, 2u * kFlowsPerCycle);
   ASSERT_EQ(pair.closed() - closed0, 2u * kFlowsPerCycle);
   ASSERT_EQ(pair.connections(), 0u);
@@ -163,9 +117,9 @@ TEST(TcpHostAllocGate, NewParamsValueAllocatesOnceOnFirstUse) {
   TcpParams small_mss;
   small_mss.mss = 1000;
   const auto allocs_for = [&](const TcpParams& params) {
-    const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const uint64_t before = AllocCount();
     EXPECT_NE(host.Connect(kServerIp, kPort, hooks, params), nullptr);
-    return g_allocs.load(std::memory_order_relaxed) - before;
+    return AllocCount() - before;
   };
   // Warm-up: the first Connect also fills the packet pool and the event
   // queue (its SYN, its RTO wake).

@@ -38,6 +38,17 @@ TEST(TcpSharding, ShardingAutoEnablesGateway) {
   EXPECT_EQ(tb.stack()->tcp_shard_count(), 2);
 }
 
+// The gateway forwards every request under its own app id, so an app that
+// one shard knows under another id would get another app's socket events.
+// CreateApp must refuse to continue in every build type, whichever shard
+// drifted (here the first of two).
+TEST(TcpShardingDeathTest, CreateAppDiesWhenAShardsAppIdIsSkewed) {
+  Testbed tb(ShardedOptions(2));
+  tb.stack()->tcp_shard(0)->RegisterApp(tb.stack()->syscall()->evt_in());
+  EXPECT_DEATH(tb.stack()->CreateApp("skewed", tb.machine().core(0)),
+               "tcp shard 0 registered app id 1, the gateway 0");
+}
+
 TEST(TcpSharding, AcceptedConnectionsSpreadAcrossShards) {
   Testbed tb(ShardedOptions(3));
   BindShards(tb);

@@ -14,64 +14,22 @@
 //   newtos_scenario --lanes N ...                      override incast lanes
 //   newtos_scenario --list --dir scenarios             parse + describe only
 //
-// The counting allocator mirrors bench/perf_engine.cc: global operator
-// new/delete count every allocation in this binary, and the runner's window
-// hooks sample the counter exactly at the measurement window's edges.
+// The binary links the counting global allocator of
+// src/check/alloc_counter.h, and the runner's window hooks sample its count
+// exactly at the measurement window's edges.
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "src/check/alloc_counter.h"
 #include "src/fault/campaign.h"
 #include "src/scenario/parser.h"
 #include "src/scenario/runner.h"
 #include "src/trace/latency_decomp.h"
-
-// --- Counting allocator hook -----------------------------------------------
-
-namespace {
-std::atomic<uint64_t> g_allocs{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAllocAligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(align, (size + align - 1) / align * align);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAllocAligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace newtos::scenario {
 namespace {
@@ -195,10 +153,10 @@ int Run(int argc, char** argv) {
       uint64_t allocs_at_begin = 0;
       if (args.alloc_gate) {
         ro.on_window_begin = [&allocs_at_begin] {
-          allocs_at_begin = g_allocs.load(std::memory_order_relaxed);
+          allocs_at_begin = AllocCount();
         };
         ro.on_window_end = [&allocs_at_begin, &window_allocs] {
-          window_allocs = g_allocs.load(std::memory_order_relaxed) - allocs_at_begin;
+          window_allocs = AllocCount() - allocs_at_begin;
         };
       }
       LatencyDecomposer decomp;
